@@ -368,10 +368,7 @@ class MPCPolicy(Planner):
             inlet_temperature_c=obs.room_temperature_c,
             wax_enabled=bool(state.wax_enabled),
         )
-        rollout.zone_temperature_c[...] = state.zone_temperature_c[None, :]
-        rollout.specific_enthalpy_j_per_kg[...] = (
-            state.specific_enthalpy_j_per_kg[None, :]
-        )
+        rollout.seed(state.zone_temperature_c, state.specific_enthalpy_j_per_kg)
 
         room_t = np.full(n_cand, obs.room_temperature_c)
         capacity = obs.cooling_capacity_w
@@ -390,9 +387,7 @@ class MPCPolicy(Planner):
             tf_k = np.array([tf_of[float(f)] for f in freqs_k])
             busy = np.minimum(forecast[k] / tf_k, 1.0)
             busy = np.minimum(busy, caps)
-            _, release, _ = rollout.step(
-                dt, np.repeat(busy[:, None], servers, axis=1), freqs_k
-            )
+            _, release, _ = rollout.step(dt, busy[:, None], freqs_k)
             release_total = np.sum(release, axis=1)
 
             removal = np.where(

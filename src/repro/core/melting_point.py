@@ -95,7 +95,9 @@ def batched_fluid_peaks(
     nominal = power_model.nominal_frequency_ghz
     tf = power_model.throughput_factor(nominal)
     peaks = np.full(n_candidates, -np.inf)
-    utilization = np.empty((n_candidates, n_servers))
+    # Every server runs the same demand: one (candidates, 1) column keeps
+    # the state collapsed to a representative server per candidate.
+    utilization = np.empty((n_candidates, 1))
     for t in ticks:
         demand = float(np.clip(trace.value_at(t - 0.5 * dt), 0.0, 1.0))
         utilization[:] = np.minimum(demand / tf, 1.0)

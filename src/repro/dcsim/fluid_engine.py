@@ -31,22 +31,24 @@ inert for its whole span:
   ``advance_to``/``apply_state``/``observe``/``constrain`` are no-ops
   apart from bookkeeping that :meth:`~repro.faults.injector.FaultInjector.fast_forward`
   replays at the stretch end;
-* the thermal state is **uniform across servers**
-  (:meth:`repro.dcsim.thermal_coupling.BatchedClusterThermalState.uniform_advancer`):
-  single cluster, zero inlet offsets, unit fault scales, bitwise-equal
-  zone/enthalpy columns. Offline-server ticks break uniformity, so the
-  engine stops stretching for the rest of the run once one occurs.
+* the thermal state is **collapsed** to one representative server
+  (:attr:`repro.dcsim.thermal_coupling.BatchedClusterThermalState.is_uniform`)
+  with unit fault scales
+  (:meth:`~repro.dcsim.thermal_coupling.BatchedClusterThermalState.uniform_advancer`).
+  An offline-server tick expands the state for good, so the engine
+  stops stretching for the rest of the run once one occurs.
 
 Within a stretch the per-server physics collapses to a scalar recursion
 (every server carries identical values), executed in Python floats that
 perform exactly the arithmetic the elementwise NumPy step would — while
 demand, utilization, throughput, shed work, and the characterization
 lookups are computed for the whole stretch as arrays. Recorded totals
-(``power``/``release``/``wax`` sums and the ``melt`` mean) are reduced
-through a reused ``(chunk, servers)`` matrix so each tick's reduction is
-the same pairwise ``np.sum``/``np.mean`` the reference loop performs on
-its per-server rows; room-coupled runs reduce the release total inside
-the loop (the room temperature feeds back into the next tick's inlet).
+(``power``/``release``/``wax`` sums and the ``melt`` mean) reduce
+``(ticks, servers)`` broadcast views of the per-server scalars, which
+is the same pairwise ``np.sum``/``np.mean`` the reference loop performs
+on its (equally broadcast) per-server rows; room-coupled runs reduce
+the release total inside the loop (the room temperature feeds back into
+the next tick's inlet).
 
 Bit-identity to the reference loop is the acceptance bar, exactly as
 PR 5 held for event mode: both engines must produce byte-identical
@@ -79,11 +81,6 @@ __all__ = ["run_fluid_mode"]
 #: injector fast-forward) costs more than it saves.
 _MIN_STRETCH = 4
 
-#: Tick rows materialised at a time by the chunked total/mean reduction
-#: buffer. Bounds the scratch matrix at ``_CHUNK_TICKS * servers`` floats
-#: regardless of stretch length.
-_CHUNK_TICKS = 256
-
 
 def run_fluid_mode(sim: "DatacenterSimulator") -> "SimulationResult":
     """Run ``sim`` in fluid mode with the engine its config selects."""
@@ -91,6 +88,17 @@ def run_fluid_mode(sim: "DatacenterSimulator") -> "SimulationResult":
     if sim.config.engine == "reference":
         return loop.run_reference()
     return loop.run_batched()
+
+
+def _row_reduce(reduce, per_tick: list[float], servers: int) -> np.ndarray:
+    """Per-tick ``reduce`` over ``servers`` copies of each tick's value.
+
+    Reducing a ``(ticks, servers)`` broadcast view along axis 1 is the
+    same pairwise reduction the reference loop applies to each tick's
+    per-server row (pinned by ``tests/test_numpy_contract.py``).
+    """
+    column = np.array(per_tick)[:, None]
+    return reduce(np.broadcast_to(column, (len(per_tick), servers)), axis=1)
 
 
 class _FluidLoop:
@@ -121,13 +129,6 @@ class _FluidLoop:
         self.begin_tick = getattr(sim.policy, "begin_tick", None)
         self.throttle_ticks = 0
         self.records = _Recorder(len(self.ticks), self.n_servers)
-        # True while every server provably shares one (zone, enthalpy)
-        # trajectory. Cleared the first time an offline-server tick
-        # concentrates load on the survivors (or an advancer eligibility
-        # scan fails), after which stretching is off for the run.
-        self._uniform = True
-        self._sum_buf: np.ndarray | None = None
-        self._mat_buf: np.ndarray | None = None
 
     # -- engines -------------------------------------------------------------
 
@@ -160,10 +161,6 @@ class _FluidLoop:
                 advancer = None
                 if end - i >= _MIN_STRETCH:
                     advancer = self.state.uniform_advancer(self.dt)
-                    if advancer is None:
-                        # Eligibility scan found per-server structure the
-                        # cheap flags missed; stop re-scanning every tick.
-                        self._uniform = False
                 if advancer is not None:
                     self._run_stretch(i, end, decision, demand_all, advancer)
                     stretch_ticks += end - i
@@ -213,7 +210,7 @@ class _FluidLoop:
             # Surviving servers absorb the whole offered load; the
             # failed (lowest-indexed) servers sit idle. Per-server state
             # diverges here, so stretch advancing is off from now on.
-            self._uniform = False
+            state.expand("offline")
             alive = n_servers - offline
             concentrated = demand * n_servers / alive
             utilization = min(
@@ -232,7 +229,8 @@ class _FluidLoop:
         shed = max(demand - served, 0.0)
 
         power, release, wax = state.step(dt, utilization_vec, decision.frequency_ghz)
-        room_temp = sim._post_tick(float(np.sum(release)), dt)
+        release_total = float(np.sum(release))
+        room_temp = sim._post_tick(release_total, dt)
         self.records.store(
             i,
             time_s=t,
@@ -240,7 +238,7 @@ class _FluidLoop:
             utilization=mean_utilization,
             frequency=decision.frequency_ghz,
             power=float(np.sum(power)),
-            release=float(np.sum(release)),
+            release=release_total,
             wax=float(np.sum(wax)),
             melt=float(np.mean(state.melt_fraction)),
             throughput=served,
@@ -268,10 +266,11 @@ class _FluidLoop:
         """End (exclusive tick index) of the eligible run starting at ``i``.
 
         Returns ``i`` itself when tick ``i`` must run scalar. Eligibility
-        here covers the *schedule*: state uniformity is the advancer's
-        job, and the policy certificate was checked once up front.
+        here covers the *schedule* and the collapsed state; fault scales
+        are the advancer's job, and the policy certificate was checked
+        once up front.
         """
-        if not self._uniform:
+        if not self.state.is_uniform:
             return i
         injector = self.injector
         if injector is None:
@@ -280,8 +279,9 @@ class _FluidLoop:
             return i
         # Faults activate at the first tick with start_s <= t, so every
         # tick strictly before the next boundary after the previously
-        # processed tick is quiet.
-        after = float(self.ticks[i - 1]) if i > 0 else 0.0
+        # processed tick is quiet. Before the first tick nothing has been
+        # processed: a fault starting at t=0 (or earlier) bounds it too.
+        after = float(self.ticks[i - 1]) if i > 0 else -math.inf
         boundary = injector.next_boundary(after)
         if math.isinf(boundary):
             return len(self.ticks)
@@ -338,16 +338,13 @@ class _FluidLoop:
                 release_l[k] = r
                 wax_l[k] = w
                 melt_l[k] = m
-            release_total = self._reduce(np.array(release_l), "sum")
+            release_total = _row_reduce(np.sum, release_l, n_servers)
             room_series: np.ndarray | float = sim.config.inlet_temperature_c
         else:
             # Room-coupled: each tick's release total feeds the room
             # model, whose temperature is the next tick's inlet — so the
-            # release reduction happens in the loop, via the same
-            # fill-and-pairwise-sum the reference's np.sum performs.
-            if self._sum_buf is None:
-                self._sum_buf = np.empty(n_servers)
-            buf = self._sum_buf
+            # release reduction happens in the loop, as the same pairwise
+            # sum over a broadcast row the reference's np.sum performs.
             room_arr = np.empty(span)
             release_total = np.empty(span)
             inlet = 0.0
@@ -356,8 +353,7 @@ class _FluidLoop:
                 p, r, w, m = advancer.tick(
                     inlet, u_eff_l[k], zone_delta_l[k], ua_l[k]
                 )
-                buf.fill(r)
-                total = float(buf.sum())
+                total = float(np.sum(np.broadcast_to(r, (n_servers,))))
                 room.step(dt, max(total, 0.0))
                 room_arr[k] = room.temperature_c
                 release_total[k] = total
@@ -378,10 +374,10 @@ class _FluidLoop:
         records.demand[sl] = demand
         records.utilization[sl] = utilization
         records.frequency[sl] = decision.frequency_ghz
-        records.power[sl] = self._reduce(np.array(power_l), "sum")
+        records.power[sl] = _row_reduce(np.sum, power_l, n_servers)
         records.release[sl] = release_total
-        records.wax[sl] = self._reduce(np.array(wax_l), "sum")
-        records.melt[sl] = self._reduce(np.array(melt_l), "mean")
+        records.wax[sl] = _row_reduce(np.sum, wax_l, n_servers)
+        records.melt[sl] = _row_reduce(np.mean, melt_l, n_servers)
         records.throughput[sl] = served
         records.queue[sl] = 0.0
         records.shed[sl] = shed * n_servers
@@ -397,27 +393,6 @@ class _FluidLoop:
                 float(self.ticks[i1 - 1]),
                 observed=np.full(n_servers, demand[-1]),
             )
-
-    def _reduce(self, per_tick: np.ndarray, op: str) -> np.ndarray:
-        """Per-tick ``np.sum``/``np.mean`` over virtual uniform rows.
-
-        The reference loop reduces a contiguous ``(servers,)`` row every
-        tick; broadcasting each per-server scalar across a reused
-        ``(chunk, servers)`` matrix and reducing along axis 1 performs
-        the identical pairwise reductions, chunked so scratch stays
-        bounded.
-        """
-        if self._mat_buf is None:
-            self._mat_buf = np.empty((_CHUNK_TICKS, self.n_servers))
-        buf = self._mat_buf
-        out = np.empty(len(per_tick))
-        reduce = np.sum if op == "sum" else np.mean
-        for c0 in range(0, len(per_tick), _CHUNK_TICKS):
-            c1 = min(c0 + _CHUNK_TICKS, len(per_tick))
-            view = buf[: c1 - c0]
-            view[:] = per_tick[c0:c1, None]
-            out[c0:c1] = reduce(view, axis=1)
-        return out
 
     # -- epilogue ------------------------------------------------------------
 

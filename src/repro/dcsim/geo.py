@@ -36,7 +36,9 @@ from repro.dcsim.thermal_coupling import ClusterThermalState
 from repro.dcsim.throttling import (
     RoomTemperaturePolicy,
     ThrottleDecision,
-    projected_release_w,
+    bisect_fitting,
+    busy_fraction,
+    busy_release_w,
 )
 from repro.errors import ConfigurationError
 from repro.materials.pcm import PCMMaterial
@@ -258,18 +260,16 @@ class GeoPair:
             headroom = max(busy_ceiling - busy, 0.0)
             if headroom > 0:
                 # Bisect the largest extra busy fraction whose release fits.
-                lo, hi = 0.0, headroom
-                for _ in range(20):
-                    mid = 0.5 * (lo + hi)
-                    work_probe = np.full(n, (busy + mid) * tf)
-                    release = projected_release_w(
-                        site.state, work_probe, decision.frequency_ghz
-                    )
-                    if release <= site.room.cooling_capacity_w:
-                        lo = mid
-                    else:
-                        hi = mid
-                spare = lo * tf
+                frequency = decision.frequency_ghz
+                capacity = site.room.cooling_capacity_w
+
+                def fits(extra: np.ndarray) -> np.ndarray:
+                    work = ((busy + extra) * tf)[:, None]
+                    probe = busy_fraction(site.state, work, frequency)
+                    release = busy_release_w(site.state, probe, frequency)
+                    return release <= capacity
+
+                spare = bisect_fitting(fits, 0.0, headroom, 20) * tf
         return served, unserved, spare, decision
 
     def run(self) -> GeoResult:

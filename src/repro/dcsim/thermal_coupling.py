@@ -126,6 +126,35 @@ def enthalpy_at_temperature_array(
     )
 
 
+def broadcast_view(values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """``np.broadcast_to(values, shape)``: a read-only view.
+
+    A C-contiguous ``(rows, 1)`` column, the common case, gets its
+    stride-0 view from the ndarray constructor directly: these views are
+    made several times per tick, and ``broadcast_to``'s nditer set-up
+    costs twice as much.
+    """
+    if values.shape == shape:
+        view = values.view()
+    elif values.shape == (shape[0], 1) and values.flags.c_contiguous:
+        view = np.ndarray(shape, values.dtype, values, 0, (values.strides[0], 0))
+    else:
+        return np.broadcast_to(values, shape)
+    view.flags.writeable = False
+    return view
+
+
+def _row_constant(values: np.ndarray) -> bool:
+    """Whether every row of a 2-D array repeats its first element."""
+    return bool((values == values[:, :1]).all())
+
+
+def _count_expansion(reason: str) -> None:
+    obs = get_registry()
+    if obs.enabled:
+        obs.count(f"dcsim.uniform.expand.{reason}")
+
+
 class BatchedClusterThermalState:
     """Stacked ``(clusters, servers)`` thermal state for many clusters.
 
@@ -137,6 +166,14 @@ class BatchedClusterThermalState:
     melting-point sweep. Every update is elementwise across that axis in
     the exact operation order of a lone cluster, so each member's
     trajectory is bit-identical to stepping it alone.
+
+    A state built without inlet offsets is *collapsed*: zone temperature
+    and enthalpy are ``(clusters, 1)`` columns, one representative
+    server per cluster, and the per-server queries and :meth:`step`'s
+    returns are read-only ``(clusters, servers)`` broadcast views (NumPy
+    reduces them in the materialised arrays' pairwise order). The first
+    per-server input (:meth:`expand`) widens it for good; the elementwise
+    arithmetic is the same either way. See ``docs/EVENTSIM.md``.
     """
 
     def __init__(
@@ -194,9 +231,10 @@ class BatchedClusterThermalState:
             np.asarray(wax_enabled, dtype=bool), (cluster_count,)
         ).copy()
 
-        if inlet_offset_c is None:
-            self.inlet_offset_c = np.zeros((cluster_count, server_count))
-        else:
+        # All-zero offsets are no offsets: adding 0.0 changes no value.
+        self._inlet_offset = np.zeros((cluster_count, 1))
+        self._collapsed = True
+        if inlet_offset_c is not None:
             offsets = np.asarray(inlet_offset_c, dtype=float)
             if offsets.shape == (server_count,):
                 offsets = np.broadcast_to(
@@ -207,21 +245,22 @@ class BatchedClusterThermalState:
                     f"expected inlet offsets shape "
                     f"({cluster_count}, {server_count}), got {offsets.shape}"
                 )
-            self.inlet_offset_c = offsets
+            if offsets.any():
+                self._inlet_offset = offsets
+                self._collapsed = False
+                _count_expansion("inlet_offset")
 
         initial_delta = characterization.zone_delta_at(
             np.broadcast_to(
                 np.asarray(initial_utilization, dtype=float), (cluster_count,)
             )
         )
-        self.zone_temperature_c = (
+        self._zone = (
             self.inlet_temperature_c[:, None]
-            + self.inlet_offset_c
+            + self._inlet_offset
             + initial_delta[:, None]
         )
-        self.specific_enthalpy_j_per_kg = self._enthalpy_at_temperature(
-            self.zone_temperature_c
-        )
+        self._set_enthalpy(self._enthalpy_at_temperature(self._zone))
         # Fault-injection scales (see repro.faults). Exactly 1.0 means the
         # scaled quantity is not multiplied at all, keeping faultless runs
         # bit-identical to the un-instrumented dynamics.
@@ -309,17 +348,91 @@ class BatchedClusterThermalState:
             np.where(t >= self._liquidus, liquid, mushy),
         )
 
+    # -- uniform collapse ----------------------------------------------------
+
+    @property
+    def is_uniform(self) -> bool:
+        """True while the state is collapsed to one server per cluster."""
+        return self._collapsed
+
+    def expand(self, reason: str) -> None:
+        """Widen a collapsed state to one column per server, for good.
+
+        ``reason`` names the per-server input that forced it (counted as
+        ``dcsim.uniform.expand.<reason>``). A no-op once expanded.
+        """
+        if not self._collapsed:
+            return
+        shape = (self.cluster_count, self.server_count)
+        self._zone = np.broadcast_to(self._zone, shape).copy()
+        self._set_enthalpy(np.broadcast_to(self._enthalpy, shape).copy())
+        self._inlet_offset = np.broadcast_to(self._inlet_offset, shape).copy()
+        self._collapsed = False
+        _count_expansion(reason)
+
+    def seed(
+        self,
+        zone_temperature_c: np.ndarray,
+        specific_enthalpy_j_per_kg: np.ndarray,
+    ) -> None:
+        """Overwrite the zone temperature and enthalpy of every server.
+
+        Both arguments broadcast to ``(clusters, servers)`` (the MPC
+        rollout clones one observed cluster into every candidate). Values
+        that are constant along each row keep a collapsed state
+        collapsed; per-server values expand it (reason ``seed``).
+        """
+        zone, enthalpy = (
+            self._full(np.asarray(values, dtype=float))
+            for values in (zone_temperature_c, specific_enthalpy_j_per_kg)
+        )
+        if self._collapsed:
+            if _row_constant(zone) and _row_constant(enthalpy):
+                zone, enthalpy = zone[:, :1], enthalpy[:, :1]
+            else:
+                self.expand("seed")
+        self._zone = zone.copy()
+        self._set_enthalpy(enthalpy.copy())
+
+    def _set_enthalpy(self, enthalpy: np.ndarray) -> None:
+        """Replace the enthalpy field and the wax temperature it implies.
+
+        Every write goes through here, so the wax temperature that each
+        step and every policy preview needs is mapped once per change.
+        """
+        self._enthalpy = enthalpy
+        self._wax_t = self._temperature_at_enthalpy(enthalpy)
+
+    def _full(self, values: np.ndarray) -> np.ndarray:
+        """Read-only ``(clusters, servers)`` view of a state-shaped array."""
+        return broadcast_view(values, (self.cluster_count, self.server_count))
+
     # -- queries -----------------------------------------------------------
+
+    @property
+    def zone_temperature_c(self) -> np.ndarray:
+        """Per-server wax-zone air temperature (read-only view)."""
+        return self._full(self._zone)
+
+    @property
+    def specific_enthalpy_j_per_kg(self) -> np.ndarray:
+        """Per-server wax specific enthalpy (read-only view)."""
+        return self._full(self._enthalpy)
+
+    @property
+    def inlet_offset_c(self) -> np.ndarray:
+        """Per-server inlet offsets from the cluster inlet (read-only view)."""
+        return self._full(self._inlet_offset)
 
     @property
     def wax_temperature_c(self) -> np.ndarray:
         """Per-server wax temperature, shape ``(clusters, servers)``."""
-        return self._temperature_at_enthalpy(self.specific_enthalpy_j_per_kg)
+        return self._full(self._wax_t)
 
     @property
     def melt_fraction(self) -> np.ndarray:
         """Per-server wax melt fraction, shape ``(clusters, servers)``."""
-        return np.clip(self.specific_enthalpy_j_per_kg / self._fusion, 0.0, 1.0)
+        return self._full(np.clip(self._enthalpy / self._fusion, 0.0, 1.0))
 
     @property
     def effective_wax_mass_kg(self) -> float:
@@ -339,6 +452,9 @@ class BatchedClusterThermalState:
 
     def _frequency_factors(self, frequency_ghz: float | np.ndarray) -> np.ndarray:
         """Per-cluster DVFS power factors via the scalar power model."""
+        if np.ndim(frequency_ghz) == 0:
+            factor = self.power_model.frequency_factor(float(frequency_ghz))
+            return np.full(self.cluster_count, factor)
         frequencies = np.broadcast_to(
             np.asarray(frequency_ghz, dtype=float), (self.cluster_count,)
         )
@@ -370,12 +486,18 @@ class BatchedClusterThermalState:
     ) -> np.ndarray:
         """Instantaneous air-to-wax heat flow at the *current* state,
         without advancing it (used by throttling policies to preview what
-        the wax could absorb this tick)."""
+        the wax could absorb this tick).
+
+        ``utilization`` broadcasts against the state's ``(clusters, 1)``
+        or ``(clusters, servers)`` arrays, so a ``(candidates, 1)``
+        column previews many uniform operating points of a one-cluster
+        state in one call.
+        """
         u_eff = self.effective_utilization(utilization, frequency_ghz)
         ua = self.characterization.ua_at(u_eff)
         if self._ua_scale != 1.0:
             ua = ua * self._ua_scale
-        exchange = ua * (self.zone_temperature_c - self.wax_temperature_c)
+        exchange = ua * (self._zone - self._wax_t)
         return np.where(self.wax_enabled[:, None], exchange, 0.0)
 
     # -- dynamics ------------------------------------------------------------
@@ -389,19 +511,33 @@ class BatchedClusterThermalState:
         """Advance one tick; returns (power_w, heat_release_w, wax_heat_w).
 
         ``utilization`` is per-server busy fraction in [0, 1] with shape
-        ``(clusters, servers)``; ``frequency_ghz`` is each cluster's DVFS
-        state this tick (scalar broadcasts to every cluster).
+        ``(clusters, servers)``, or ``(clusters, 1)`` for every server of
+        a cluster alike; ``frequency_ghz`` is each cluster's DVFS state
+        this tick (scalar broadcasts to every cluster). The three returns
+        are read-only ``(clusters, servers)`` views.
         """
         if dt_s <= 0:
             raise ConfigurationError(f"tick must be positive, got {dt_s}")
         utilization = np.asarray(utilization, dtype=float)
-        if utilization.shape != (self.cluster_count, self.server_count):
+        if utilization.shape not in (
+            (self.cluster_count, self.server_count),
+            (self.cluster_count, 1),
+        ):
             raise ConfigurationError(
                 f"expected utilization shape "
-                f"({self.cluster_count}, {self.server_count}), got "
-                f"{utilization.shape}"
+                f"({self.cluster_count}, {self.server_count}) or "
+                f"({self.cluster_count}, 1), got {utilization.shape}"
             )
-        if np.any(utilization < -1e-9) or np.any(utilization > 1.0 + 1e-9):
+        if self._collapsed and utilization.shape[1] != 1:
+            if _row_constant(utilization):
+                utilization = utilization[:, :1]
+            else:
+                self.expand("per_server_utilization")
+        if self._collapsed:
+            obs = get_registry()
+            if obs.enabled:
+                obs.count("dcsim.uniform.collapsed_steps")
+        if utilization.min() < -1e-9 or utilization.max() > 1.0 + 1e-9:
             raise ConfigurationError("utilization must lie in [0, 1]")
 
         u_eff = self.effective_utilization(utilization, frequency_ghz)
@@ -413,7 +549,7 @@ class BatchedClusterThermalState:
         if self._zone_delta_scale != 1.0:
             zone_delta = zone_delta * self._zone_delta_scale
         target = (
-            self.inlet_temperature_c[:, None] + self.inlet_offset_c + zone_delta
+            self.inlet_temperature_c[:, None] + self._inlet_offset + zone_delta
         )
         blend = 1.0 - np.exp(-dt_s / self.characterization.zone_time_constant_s)
 
@@ -424,13 +560,13 @@ class BatchedClusterThermalState:
         if self._step_kernel is not None:
             # The kernel applies the zone blend itself (same arithmetic as
             # the += below), then the wax exchange per element.
-            shape = self.zone_temperature_c.shape
+            shape = self._zone.shape
             zone_out = np.empty(shape)
             heat_out = np.empty(shape)
             enthalpy_out = np.empty(shape)
             self._step_kernel(
-                self.zone_temperature_c,
-                self.specific_enthalpy_j_per_kg,
+                self._zone,
+                self._enthalpy,
                 np.ascontiguousarray(np.broadcast_to(target, shape)),
                 float(blend),
                 np.broadcast_to(ua, shape).astype(float),
@@ -449,52 +585,49 @@ class BatchedClusterThermalState:
                 heat_out,
                 enthalpy_out,
             )
-            # In-place writes keep ClusterThermalState's row views live.
-            self.zone_temperature_c[...] = zone_out
-            self.specific_enthalpy_j_per_kg[...] = enthalpy_out
-            return power, power - heat_out, heat_out
+            self._zone = zone_out
+            self._set_enthalpy(enthalpy_out)
+            wax_heat = heat_out
+        else:
+            self._zone += blend * (target - self._zone)
+            exchange = ua * (self._zone - self._wax_t)
+            wax_heat = np.where(self.wax_enabled[:, None], exchange, 0.0)
+            self._set_enthalpy(
+                self._enthalpy
+                + np.where(
+                    self.wax_enabled[:, None],
+                    wax_heat * dt_s / self.effective_wax_mass_kg,
+                    0.0,
+                )
+            )
 
-        self.zone_temperature_c += blend * (target - self.zone_temperature_c)
-        exchange = ua * (self.zone_temperature_c - self.wax_temperature_c)
-        wax_heat = np.where(self.wax_enabled[:, None], exchange, 0.0)
-        self.specific_enthalpy_j_per_kg += np.where(
-            self.wax_enabled[:, None],
-            wax_heat * dt_s / self.effective_wax_mass_kg,
-            0.0,
+        return (
+            self._full(power),
+            self._full(power - wax_heat),
+            self._full(wax_heat),
         )
-
-        return power, power - wax_heat, wax_heat
 
     # -- stretch advance -----------------------------------------------------
 
     def uniform_advancer(self, dt_s: float) -> "UniformStretchAdvancer | None":
         """A scalar stretch-advance view of this state, or ``None``.
 
-        Eligibility demands that every elementwise operation of
-        :meth:`step` would act on *identical* inputs across the whole
-        ``(1, servers)`` state: one cluster, no per-server inlet offsets,
-        no active fault scales (exactly 1.0 means the scaled quantity is
-        never multiplied), and a zone/enthalpy field that is uniform to
-        the bit. Under those conditions the returned advancer replays the
-        step arithmetic on Python scalars, bit-identically per server —
-        the fluid engine's stretch fast path (see
-        :mod:`repro.dcsim.fluid_engine`).
+        Eligibility: one cluster, collapsed (:attr:`is_uniform`, which
+        also rules out inlet offsets), and no active fault scales
+        (exactly 1.0 means the scaled quantity is never multiplied).
+        The returned advancer then replays the step arithmetic on Python
+        scalars, bit-identically per server — the fluid engine's stretch
+        fast path (see :mod:`repro.dcsim.fluid_engine`).
         """
         if dt_s <= 0:
             raise ConfigurationError(f"tick must be positive, got {dt_s}")
-        if self.cluster_count != 1:
+        if self.cluster_count != 1 or not self._collapsed:
             return None
         if (
             self._ua_scale != 1.0
             or self._zone_delta_scale != 1.0
             or self._wax_capacity_factor != 1.0
         ):
-            return None
-        if self.inlet_offset_c.any():
-            return None
-        zone = self.zone_temperature_c[0]
-        enthalpy = self.specific_enthalpy_j_per_kg[0]
-        if np.ptp(zone) != 0.0 or np.ptp(enthalpy) != 0.0:
             return None
         return UniformStretchAdvancer(self, dt_s)
 
@@ -537,8 +670,8 @@ class UniformStretchAdvancer:
         self._melt_range = float(state._melt_range[0, 0])
         self._wax_mass = float(state.effective_wax_mass_kg)
         self._enabled = bool(state.wax_enabled[0])
-        self._zone = float(state.zone_temperature_c[0, 0])
-        self._enthalpy = float(state.specific_enthalpy_j_per_kg[0, 0])
+        self._zone = float(state._zone[0, 0])
+        self._enthalpy = float(state._enthalpy[0, 0])
 
     def interp_series(
         self, effective_utilization: np.ndarray
@@ -595,17 +728,18 @@ class UniformStretchAdvancer:
         return power, power - heat, heat, melt
 
     def commit(self) -> None:
-        """Broadcast the final scalars back over the array state."""
-        self._state.zone_temperature_c[:] = self._zone
-        self._state.specific_enthalpy_j_per_kg[:] = self._enthalpy
+        """Write the final scalars back into the collapsed state."""
+        self._state._zone[:] = self._zone
+        self._state._set_enthalpy(np.full((1, 1), self._enthalpy))
 
 
 class ClusterThermalState:
     """Mutable thermal state of every server in one cluster.
 
     A single-cluster view over :class:`BatchedClusterThermalState`: the
-    arrays exposed here are row views into the batched ``(1, servers)``
-    state, so the dynamics live in exactly one place.
+    arrays exposed here are row views of the batched state's read-only
+    ``(1, servers)`` views, so the dynamics (and the uniform collapse)
+    live in exactly one place.
     """
 
     def __init__(
@@ -645,7 +779,6 @@ class ClusterThermalState:
         self.server_count = server_count
         self.wax_enabled = wax_enabled
         self.wax_mass_kg = characterization.wax_mass_kg
-        self.inlet_offset_c = self._batched.inlet_offset_c[0]
 
     # -- single-cluster views over the batched state -----------------------
 
@@ -672,6 +805,28 @@ class ClusterThermalState:
     def specific_enthalpy_j_per_kg(self) -> np.ndarray:
         """Per-server wax specific enthalpy (view, shape ``(servers,)``)."""
         return self._batched.specific_enthalpy_j_per_kg[0]
+
+    @property
+    def inlet_offset_c(self) -> np.ndarray:
+        """Per-server inlet offsets (view, shape ``(servers,)``)."""
+        return self._batched.inlet_offset_c[0]
+
+    @property
+    def is_uniform(self) -> bool:
+        """True while every server shares one state (see the batched form)."""
+        return self._batched.is_uniform
+
+    def expand(self, reason: str) -> None:
+        """Widen to one state per server, for good (see the batched form)."""
+        self._batched.expand(reason)
+
+    def seed(
+        self,
+        zone_temperature_c: np.ndarray,
+        specific_enthalpy_j_per_kg: np.ndarray,
+    ) -> None:
+        """Overwrite every server's zone temperature and enthalpy."""
+        self._batched.seed(zone_temperature_c, specific_enthalpy_j_per_kg)
 
     # -- queries -----------------------------------------------------------
 
@@ -731,12 +886,17 @@ class ClusterThermalState:
     ) -> np.ndarray:
         """Instantaneous air-to-wax heat flow at the *current* state,
         without advancing it (used by throttling policies to preview what
-        the wax could absorb this tick)."""
+        the wax could absorb this tick).
+
+        A ``(servers,)`` utilization gives per-server flows; a 2-D
+        ``(candidates, 1)`` or ``(candidates, servers)`` one previews
+        each row as a separate operating point.
+        """
+        utilization = np.asarray(utilization, dtype=float)
         if not self.wax_enabled:
-            return np.zeros(self.server_count)
-        return self._batched.wax_exchange_w(
-            np.asarray(utilization, dtype=float)[None, :], frequency_ghz
-        )[0]
+            return np.zeros(utilization.shape)
+        exchange = self._batched.wax_exchange_w(utilization, frequency_ghz)
+        return exchange[0] if utilization.ndim == 1 else exchange
 
     # -- dynamics ------------------------------------------------------------
 

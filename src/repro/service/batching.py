@@ -398,9 +398,9 @@ def solve_cluster_group(jobs: list[Job], cache: ResultCache | None) -> None:
             job.fail(exc)
         return
 
-    utilization = np.broadcast_to(
-        np.array([[s.utilization] for s in specs]), (count, servers)
-    ).copy()
+    # One (members, 1) column: every server of a member runs alike, so
+    # the state stays collapsed to a representative server per member.
+    utilization = np.array([[s.utilization] for s in specs])
     frequency = np.array([s.frequency_ghz for s in specs])
     max_ticks = max(s.ticks for s in specs)
     stride = max(1, max_ticks // _PROGRESS_EVENTS)

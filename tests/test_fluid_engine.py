@@ -324,7 +324,10 @@ class TestStretchMachinery:
 
     def test_advancer_ineligible_with_nonuniform_state(self):
         state = self._state()
-        state.zone_temperature_c[1] += 0.25
+        zone = np.array(state.zone_temperature_c)
+        zone[1] += 0.25
+        state.seed(zone, state.specific_enthalpy_j_per_kg)
+        assert not state.is_uniform
         assert state.uniform_advancer(TICK_S) is None
 
     def test_constant_decision_certificate_matches_decide(self):
@@ -369,6 +372,48 @@ class TestStretchMachinery:
         assert injector.current is None
         assert injector.is_dormant
 
+    def test_fault_starting_at_t0_bounds_the_first_stretch(self):
+        # Minimal falsifying example: a supply excursion over [0, 61) s
+        # is active at the first tick (t = 60 s). The first stretch must
+        # stop before it rather than stretch over it.
+        schedule = FaultSchedule(
+            faults=(
+                Fault(
+                    kind="supply_excursion",
+                    start_s=0.0,
+                    end_s=61.0,
+                    magnitude=2.0,
+                ),
+            ),
+            name="t0",
+        )
+        _assert_engines_agree(
+            levels=[0.0, 0.0],
+            duration_s=2 * 3600.0,
+            servers=2,
+            planner="plain",
+            schedule=schedule,
+            with_room=False,
+        )
+
+    def test_fresh_injector_is_dormant_but_bounded_at_t0(self):
+        # Before the first advance_to nothing has been applied, so the
+        # injector is dormant; a fault starting at t=0 is still the next
+        # boundary for a query from before the first tick.
+        schedule = FaultSchedule(
+            faults=(
+                Fault(kind="power_cap", start_s=0.0, end_s=120.0,
+                      magnitude=0.4),
+            ),
+            name="t0",
+        )
+        injector = FaultInjector(schedule)
+        assert injector.is_dormant
+        assert injector.next_boundary(-math.inf) == 0.0
+        assert injector.next_boundary(0.0) == math.inf
+        injector.advance_to(60.0)
+        assert not injector.is_dormant
+
     def test_fast_forward_updates_held_observation(self):
         schedule = FaultSchedule(
             faults=(
@@ -401,14 +446,11 @@ class TestStretchMachinery:
         )
 
 
-class TestChunkedReduction:
-    def test_reduce_matches_per_row_reductions(self):
-        loop = fe._FluidLoop.__new__(fe._FluidLoop)
-        loop.n_servers = 7
-        loop._mat_buf = None
-        values = np.linspace(0.1, 987.3, 1000)
-        summed = loop._reduce(values, "sum")
-        meaned = loop._reduce(values, "mean")
+class TestRowReduction:
+    def test_row_reduce_matches_per_row_reductions(self):
+        values = np.linspace(0.1, 987.3, 1000).tolist()
+        summed = fe._row_reduce(np.sum, values, 7)
+        meaned = fe._row_reduce(np.mean, values, 7)
         for k in (0, 1, 499, 999):
             row = np.full(7, values[k])
             assert summed[k] == float(np.sum(row))
