@@ -1,12 +1,11 @@
 """Benchmark harness conventions.
 
 Every benchmark regenerates one of the paper's tables or figures via the
-experiment registry, reports its wall-clock through pytest-benchmark
-(single round — these are end-to-end experiment reproductions, not
-microbenchmarks), prints the paper-style rows, and asserts the *shape* of
-the result: who wins, by roughly what factor, where the crossovers fall.
-Absolute agreement with the paper's testbed is not expected and not
-asserted.
+experiment registry, prints the paper-style rows, and asserts the
+*shape* of the result: who wins, by roughly what factor, where the
+crossovers fall. Absolute agreement with the paper's testbed is not
+expected and not asserted. Timing lives in ``repro-bench``
+(``benchmarks/regression.py``), not here.
 """
 
 from __future__ import annotations
@@ -15,10 +14,10 @@ import pytest
 
 
 @pytest.fixture
-def run_once(benchmark):
-    """Run a callable exactly once under the benchmark timer."""
+def run_once():
+    """Run a callable once and return its result."""
 
     def runner(func):
-        return benchmark.pedantic(func, rounds=1, iterations=1)
+        return func()
 
     return runner

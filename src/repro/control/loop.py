@@ -2,7 +2,7 @@
 
 :class:`ControlLoop` is *policy-shaped*: it implements the same
 ``decide(state, work_rate) -> ThrottleDecision`` / ``reset()`` protocol
-as the legacy throttling policies, so it plugs into both simulation
+as the throttling policies, so it plugs into both simulation
 engines through the existing per-tick policy seam without touching the
 thermal core. The engines additionally call the optional per-tick
 ``begin_tick(time_s, dt_s)`` hook (see ``simulator._run_fluid`` and

@@ -7,17 +7,17 @@ already passed through the fault injector's sensor path
 noisy or frozen readings during sensor faults, never ground truth — and
 asks the active planner for a :class:`~repro.control.actions.
 ControlAction`. Plant-side readings (room temperature, remaining plant
-capacity) come off the room model exactly as the legacy throttling
-policies read them; an active cooling fault derates the capacity the
-planner sees.
+capacity) come off the room model exactly as the throttling policies
+of :mod:`repro.dcsim.throttling` read them; an active cooling fault
+derates the capacity the planner sees.
 
 Shipped planners:
 
 * :class:`GreedyThrottlePolicy` — the paper's Section 5.2 reactive
-  mechanism: a room-temperature hysteresis latch, with the former
-  :class:`~repro.dcsim.throttling.FaultResponsePolicy` overrides folded
-  in as first-class behaviour (min-DVFS on sensor dropout, preemptive
-  throttle on severe cooling loss). Decision-identical to the old
+  mechanism: a room-temperature hysteresis latch, with the
+  :class:`~repro.dcsim.throttling.FaultResponsePolicy` overrides
+  (min-DVFS on sensor dropout, preemptive throttle on severe cooling
+  loss). It runs the same decision functions as the
   ``FaultResponsePolicy(RoomTemperaturePolicy(room))`` stack.
 * :class:`MPCPolicy` — receding-horizon search over candidate DVFS
   sequences, scored by batched forward rollouts on a
@@ -40,7 +40,11 @@ from repro.dcsim.thermal_coupling import (
     BatchedClusterThermalState,
     ClusterThermalState,
 )
-from repro.dcsim.throttling import _shed_cap, projected_release_w
+from repro.dcsim.throttling import (
+    downclock_or_shed,
+    fault_override,
+    room_throttle,
+)
 from repro.errors import ControlError
 from repro.tco.energy import (
     AmbientAwarePlant,
@@ -57,7 +61,7 @@ class Observation:
     ``work_rate`` is the per-server offered work in nominal capacity
     units *after* the fault injector's sensor path; ``fault_effects`` is
     the injector's currently active composite effects (or ``None``) —
-    the same duck-typed view the legacy ``FaultResponsePolicy`` used.
+    the same duck-typed view ``FaultResponsePolicy`` reads.
     ``state`` grants read access to the thermal state for release
     previews; planners must not mutate it.
     """
@@ -121,14 +125,15 @@ class NoOpPlanner(Planner):
 
 
 class GreedyThrottlePolicy(Planner):
-    """Reactive hysteresis throttle with fault overrides folded in.
+    """Reactive hysteresis throttle with the fault overrides.
 
-    Port of :class:`~repro.dcsim.throttling.RoomTemperaturePolicy` with
-    the :class:`~repro.dcsim.throttling.FaultResponsePolicy` wrapper's
-    overrides as first-class branches, in the same precedence order:
-    sensor dropout -> severe cooling loss -> temperature latch. On
-    override ticks the latch is deliberately not updated, matching the
-    legacy wrapper (which never consulted the base policy then).
+    An adapter from :class:`Observation` to the throttle functions of
+    :mod:`repro.dcsim.throttling`, in the precedence order of the
+    ``FaultResponsePolicy(RoomTemperaturePolicy(room))`` stack: sensor
+    dropout -> severe cooling loss (:func:`~repro.dcsim.throttling.
+    fault_override`) -> temperature latch (:func:`~repro.dcsim.
+    throttling.room_throttle`). On override ticks the latch is not
+    updated, as the wrapper never consults its base policy then.
     """
 
     name = "greedy"
@@ -153,47 +158,27 @@ class GreedyThrottlePolicy(Planner):
         self._throttled = False
 
     def plan(self, obs: Observation) -> ControlAction:
-        state = obs.state
-        work_rate = obs.work_rate
-        nominal = obs.nominal_frequency_ghz
-        minimum = obs.min_frequency_ghz
-        capacity = obs.cooling_capacity_w
-
-        effects = obs.fault_effects
-        if effects is not None:
-            if effects.sensor_dropout:
-                return ControlAction(frequency_ghz=minimum, limited=True)
-            if (
-                effects.cooling_capacity_factor
-                < self.emergency_capacity_factor
-            ):
-                if projected_release_w(state, work_rate, minimum) > capacity:
-                    cap = _shed_cap(state, work_rate, minimum, capacity)
-                    return ControlAction(
-                        frequency_ghz=minimum,
-                        utilization_cap=cap,
-                        limited=True,
-                    )
-                return ControlAction(frequency_ghz=minimum, limited=True)
-
-        if not self._throttled and (
-            obs.room_temperature_c >= obs.room_max_temperature_c
-        ):
-            self._throttled = True
-        elif self._throttled and (
-            obs.room_temperature_c
-            <= obs.room_max_temperature_c - self.deadband_c
-            and projected_release_w(state, work_rate, nominal) <= capacity
-        ):
-            self._throttled = False
-
-        if not self._throttled:
-            return ControlAction(frequency_ghz=nominal)
-        if projected_release_w(state, work_rate, minimum) <= capacity:
-            return ControlAction(frequency_ghz=minimum, limited=True)
-        cap = _shed_cap(state, work_rate, minimum, capacity)
+        decision = fault_override(
+            obs.state,
+            obs.work_rate,
+            obs.fault_effects,
+            self.emergency_capacity_factor,
+            obs.cooling_capacity_w,
+        )
+        if decision is None:
+            self._throttled, decision = room_throttle(
+                obs.state,
+                obs.work_rate,
+                self._throttled,
+                obs.room_temperature_c,
+                obs.room_max_temperature_c,
+                self.deadband_c,
+                obs.cooling_capacity_w,
+            )
         return ControlAction(
-            frequency_ghz=minimum, utilization_cap=cap, limited=True
+            frequency_ghz=decision.frequency_ghz,
+            utilization_cap=decision.utilization_cap,
+            limited=decision.limited,
         )
 
 
@@ -324,18 +309,15 @@ class MPCPolicy(Planner):
             rows += [ramp_mid, ramp_min]
         caps = [1.0] * len(rows)
 
-        # Emergency shed candidate: min frequency with a busy cap that
-        # fits the remaining (possibly fault-derated) plant capacity.
-        if (
-            projected_release_w(obs.state, obs.work_rate, minimum)
-            > obs.cooling_capacity_w
-        ):
+        # Emergency shed candidate, when even min frequency overheats:
+        # min frequency with a busy cap (< 1.0) that fits the remaining
+        # (possibly fault-derated) plant capacity.
+        emergency = downclock_or_shed(
+            obs.state, obs.work_rate, obs.cooling_capacity_w
+        )
+        if emergency.utilization_cap < 1.0:
             rows.append(np.full(horizon, minimum))
-            caps.append(
-                _shed_cap(
-                    obs.state, obs.work_rate, minimum, obs.cooling_capacity_w
-                )
-            )
+            caps.append(emergency.utilization_cap)
         return np.stack(rows), np.array(caps)
 
     def _forecast(self, obs: Observation) -> np.ndarray:

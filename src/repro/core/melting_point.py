@@ -65,7 +65,6 @@ def batched_fluid_peaks(
     trace: LoadTrace,
     topology: ClusterTopology,
     config: SimulationConfig,
-    backend: str = "auto",
 ) -> np.ndarray:
     """Peak cooling load per candidate from one batched fluid-mode run.
 
@@ -90,7 +89,6 @@ def batched_fluid_peaks(
         inlet_temperature_c=config.inlet_temperature_c,
         initial_utilization=float(np.clip(trace.value_at(0.0), 0.0, 1.0)),
         wax_enabled=wax_enabled,
-        backend=backend,
     )
     nominal = power_model.nominal_frequency_ghz
     tf = power_model.throughput_factor(nominal)

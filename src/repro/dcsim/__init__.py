@@ -17,7 +17,6 @@ Two fidelity modes share one thermal core:
   for fast parameter sweeps.
 """
 
-from repro.dcsim.events import Event, EventQueue
 from repro.dcsim.geo import GeoPair, GeoResult, GeoSite
 from repro.dcsim.mixed import MixedFleet, rollout_curve
 from repro.dcsim.loadbalancer import LeastLoaded, LoadBalancer, RoundRobin
@@ -37,8 +36,6 @@ from repro.dcsim.simulator import (
 )
 
 __all__ = [
-    "Event",
-    "EventQueue",
     "LoadBalancer",
     "RoundRobin",
     "LeastLoaded",

@@ -30,60 +30,6 @@ from repro.materials.pcm import PCMMaterial
 from repro.obs import get_registry
 from repro.server.characterization import PlatformCharacterization
 from repro.server.power import ServerPowerModel
-from repro.thermal.backends import (
-    NumbaBackend,
-    jit_compile,
-    validate_backend_choice,
-)
-
-
-def _wax_step_loop(
-    zone,
-    enthalpy,
-    target,
-    blend,
-    ua,
-    enabled,
-    dt_s,
-    eff_mass,
-    solidus,
-    liquidus,
-    fusion,
-    c_solid,
-    c_liquid,
-    melt_range,
-    zone_out,
-    heat_out,
-    enthalpy_out,
-):
-    """Elementwise wax-step kernel in loop form for Numba compilation.
-
-    Per-element arithmetic (and branch structure) matches the vectorized
-    NumPy path in :meth:`BatchedClusterThermalState.step` operation for
-    operation, so the two paths agree bitwise — elementwise ops have no
-    summation order to reassociate. Kept as a module-level pure function
-    so :func:`repro.thermal.backends.jit_compile` can cache one compiled
-    instance process-wide.
-    """
-    clusters, servers = zone.shape
-    for c in range(clusters):
-        for s in range(servers):
-            z = zone[c, s] + blend * (target[c, s] - zone[c, s])
-            h = enthalpy[c, s]
-            if h <= 0.0:
-                wax_t = solidus[c, 0] + h / c_solid[c, 0]
-            elif h >= fusion[c, 0]:
-                wax_t = liquidus[c, 0] + (h - fusion[c, 0]) / c_liquid[c, 0]
-            else:
-                wax_t = solidus[c, 0] + (h / fusion[c, 0]) * melt_range[c, 0]
-            if enabled[c, s]:
-                heat = ua[c, s] * (z - wax_t)
-                h = h + heat * dt_s / eff_mass
-            else:
-                heat = 0.0
-            zone_out[c, s] = z
-            heat_out[c, s] = heat
-            enthalpy_out[c, s] = h
 
 
 def temperature_at_enthalpy_array(
@@ -187,7 +133,6 @@ class BatchedClusterThermalState:
         initial_utilization: float | np.ndarray = 0.0,
         wax_enabled: bool | np.ndarray = True,
         inlet_offset_c: np.ndarray | None = None,
-        backend: str = "auto",
     ) -> None:
         if cluster_count <= 0:
             raise ConfigurationError(
@@ -267,34 +212,6 @@ class BatchedClusterThermalState:
         self._ua_scale = 1.0
         self._zone_delta_scale = 1.0
         self._wax_capacity_factor = 1.0
-
-        # The cluster state is elementwise per server — there is no
-        # conduction operator to sparsify, so "sparse" is rejected and
-        # "auto" is the (bit-identical) vectorized NumPy path. Explicit
-        # "numba" swaps the step tail for the JIT-compiled loop kernel.
-        validate_backend_choice(backend)
-        if backend == "sparse":
-            raise ConfigurationError(
-                "backend='sparse' does not apply to the cluster thermal "
-                "state: its dynamics are elementwise per server with no "
-                "conduction operator; use 'auto', 'numpy', or 'numba'"
-            )
-        self._step_kernel = None
-        if backend == "numba":
-            if not NumbaBackend.is_available():
-                raise ConfigurationError(
-                    "solver backend 'numba' is not available on this "
-                    "machine (install the compiled extra: pip install "
-                    "'repro[compiled]'), or use backend='auto' for the "
-                    "NumPy fallback"
-                )
-            kernel, jitted = jit_compile(_wax_step_loop, "dcsim.wax_step")
-            if jitted:
-                self._step_kernel = kernel
-        self.backend = "numba" if self._step_kernel is not None else "numpy"
-        obs = get_registry()
-        if obs.enabled:
-            obs.count(f"solver.backend.{self.backend}")
 
     def set_fault_scales(
         self,
@@ -557,49 +474,17 @@ class BatchedClusterThermalState:
         if self._ua_scale != 1.0:
             ua = ua * self._ua_scale
 
-        if self._step_kernel is not None:
-            # The kernel applies the zone blend itself (same arithmetic as
-            # the += below), then the wax exchange per element.
-            shape = self._zone.shape
-            zone_out = np.empty(shape)
-            heat_out = np.empty(shape)
-            enthalpy_out = np.empty(shape)
-            self._step_kernel(
-                self._zone,
-                self._enthalpy,
-                np.ascontiguousarray(np.broadcast_to(target, shape)),
-                float(blend),
-                np.broadcast_to(ua, shape).astype(float),
-                np.ascontiguousarray(
-                    np.broadcast_to(self.wax_enabled[:, None], shape)
-                ),
-                float(dt_s),
-                float(self.effective_wax_mass_kg),
-                self._solidus,
-                self._liquidus,
-                self._fusion,
-                self._c_solid,
-                self._c_liquid,
-                self._melt_range,
-                zone_out,
-                heat_out,
-                enthalpy_out,
+        self._zone += blend * (target - self._zone)
+        exchange = ua * (self._zone - self._wax_t)
+        wax_heat = np.where(self.wax_enabled[:, None], exchange, 0.0)
+        self._set_enthalpy(
+            self._enthalpy
+            + np.where(
+                self.wax_enabled[:, None],
+                wax_heat * dt_s / self.effective_wax_mass_kg,
+                0.0,
             )
-            self._zone = zone_out
-            self._set_enthalpy(enthalpy_out)
-            wax_heat = heat_out
-        else:
-            self._zone += blend * (target - self._zone)
-            exchange = ua * (self._zone - self._wax_t)
-            wax_heat = np.where(self.wax_enabled[:, None], exchange, 0.0)
-            self._set_enthalpy(
-                self._enthalpy
-                + np.where(
-                    self.wax_enabled[:, None],
-                    wax_heat * dt_s / self.effective_wax_mass_kg,
-                    0.0,
-                )
-            )
+        )
 
         return (
             self._full(power),
@@ -752,7 +637,6 @@ class ClusterThermalState:
         initial_utilization: float = 0.0,
         wax_enabled: bool = True,
         inlet_offset_c: np.ndarray | None = None,
-        backend: str = "auto",
     ) -> None:
         if inlet_offset_c is not None:
             offsets = np.asarray(inlet_offset_c, dtype=float)
@@ -771,7 +655,6 @@ class ClusterThermalState:
             initial_utilization=initial_utilization,
             wax_enabled=wax_enabled,
             inlet_offset_c=inlet_offset_c,
-            backend=backend,
         )
         self.characterization = characterization
         self.power_model = power_model
@@ -781,11 +664,6 @@ class ClusterThermalState:
         self.wax_mass_kg = characterization.wax_mass_kg
 
     # -- single-cluster views over the batched state -----------------------
-
-    @property
-    def backend(self) -> str:
-        """Which step-kernel backend actually runs ("numpy" or "numba")."""
-        return self._batched.backend
 
     @property
     def inlet_temperature_c(self) -> float:

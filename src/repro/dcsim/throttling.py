@@ -158,6 +158,86 @@ def _shed_cap(
     return low * float(np.max(busy)) if len(busy) else 0.0
 
 
+def downclock_or_shed(
+    state: ClusterThermalState,
+    work_rate: np.ndarray,
+    capacity_w: float | None,
+) -> ThrottleDecision:
+    """The minimum DVFS state, shedding work only if it still overheats.
+
+    The tail every throttle here shares: once full clocks are ruled out,
+    run at the minimum frequency, and cap the busy fraction (relocate
+    work) only if even that releases more than ``capacity_w``. With no
+    known capacity (``None``) nothing is shed.
+    """
+    minimum = state.power_model.min_frequency_ghz
+    if (
+        capacity_w is None
+        or projected_release_w(state, work_rate, minimum) <= capacity_w
+    ):
+        return ThrottleDecision(frequency_ghz=minimum, limited=True)
+    cap = _shed_cap(state, work_rate, minimum, capacity_w)
+    return ThrottleDecision(
+        frequency_ghz=minimum, utilization_cap=cap, limited=True
+    )
+
+
+def room_throttle(
+    state: ClusterThermalState,
+    work_rate: np.ndarray,
+    throttled: bool,
+    room_temperature_c: float,
+    room_max_temperature_c: float,
+    deadband_c: float,
+    capacity_w: float,
+) -> tuple[bool, ThrottleDecision]:
+    """One tick of the Section 5.2 room-temperature throttle.
+
+    Updates the hysteresis latch ``throttled`` and returns it with the
+    decision. The latch sets when the room reaches its limit and
+    releases only once the room has cooled by ``deadband_c`` AND full
+    clocks would fit the plant again. Unlatched runs at full clocks;
+    latched runs :func:`downclock_or_shed`.
+    """
+    nominal = state.power_model.nominal_frequency_ghz
+    if not throttled:
+        throttled = room_temperature_c >= room_max_temperature_c
+    elif (
+        room_temperature_c <= room_max_temperature_c - deadband_c
+        and projected_release_w(state, work_rate, nominal) <= capacity_w
+    ):
+        throttled = False
+    if not throttled:
+        return False, ThrottleDecision(frequency_ghz=nominal)
+    return True, downclock_or_shed(state, work_rate, capacity_w)
+
+
+def fault_override(
+    state: ClusterThermalState,
+    work_rate: np.ndarray,
+    effects,
+    emergency_capacity_factor: float,
+    capacity_w: float | None,
+) -> ThrottleDecision | None:
+    """The graceful-degradation override for active fault ``effects``.
+
+    Sensor dropout forces the minimum DVFS state (projections from dead
+    telemetry cannot be trusted); a cooling loss below
+    ``emergency_capacity_factor`` throttles at once via
+    :func:`downclock_or_shed` against the remaining ``capacity_w``.
+    ``None`` means no override: the caller's own throttle decides.
+    """
+    if effects is None:
+        return None
+    if effects.sensor_dropout:
+        return ThrottleDecision(
+            frequency_ghz=state.power_model.min_frequency_ghz, limited=True
+        )
+    if effects.cooling_capacity_factor < emergency_capacity_factor:
+        return downclock_or_shed(state, work_rate, capacity_w)
+    return None
+
+
 class NoThermalLimit:
     """Unconstrained datacenter: always nominal frequency, no cap."""
 
@@ -214,16 +294,9 @@ class ThermalLimitPolicy:
         full clocks, else the minimum DVFS state, else shed work."""
         limit = self.capacity_w * (1.0 + self.tolerance)
         nominal = state.power_model.nominal_frequency_ghz
-        minimum = state.power_model.min_frequency_ghz
-
         if projected_release_w(state, work_rate, nominal) <= limit:
             return ThrottleDecision(frequency_ghz=nominal)
-        if projected_release_w(state, work_rate, minimum) <= limit:
-            return ThrottleDecision(frequency_ghz=minimum, limited=True)
-        cap = _shed_cap(state, work_rate, minimum, limit)
-        return ThrottleDecision(
-            frequency_ghz=minimum, utilization_cap=cap, limited=True
-        )
+        return downclock_or_shed(state, work_rate, limit)
 
 
 class FaultResponsePolicy:
@@ -248,16 +321,11 @@ class FaultResponsePolicy:
     the base policy unchanged, so a run with no active fault is
     decision-identical to running the base policy alone.
 
-    .. deprecated::
-        New control logic should target the
-        :class:`repro.control.Planner` interface instead;
-        :class:`repro.control.GreedyThrottlePolicy` is the
-        decision-identical replacement for this wrapper around
-        :class:`RoomTemperaturePolicy` inside a
-        :class:`repro.control.ControlLoop` (which adds actuator
-        clamping, divergence fallback, and tournament scoring). This
-        class remains for the paper-faithful figures and the fidelity
-        suite; see ``docs/CONTROL.md``.
+    The override is :func:`fault_override` and the room throttle is
+    :func:`room_throttle`; :class:`repro.control.GreedyThrottlePolicy`
+    runs the same two functions inside a :class:`repro.control.
+    ControlLoop`, so this wrapper around :class:`RoomTemperaturePolicy`
+    and that planner decide identically from one body.
     """
 
     def __init__(
@@ -292,26 +360,15 @@ class FaultResponsePolicy:
         self, state: ClusterThermalState, work_rate: np.ndarray
     ) -> ThrottleDecision:
         """Override on dropout or severe cooling loss; else delegate."""
-        effects = self.injector.current
-        if effects is None:
-            return self.base.decide(state, work_rate)
-        if effects.sensor_dropout:
-            return ThrottleDecision(
-                frequency_ghz=state.power_model.min_frequency_ghz,
-                limited=True,
-            )
-        if effects.cooling_capacity_factor < self.emergency_capacity_factor:
-            minimum = state.power_model.min_frequency_ghz
-            capacity = self._capacity_w()
-            if (
-                capacity is not None
-                and projected_release_w(state, work_rate, minimum) > capacity
-            ):
-                cap = _shed_cap(state, work_rate, minimum, capacity)
-                return ThrottleDecision(
-                    frequency_ghz=minimum, utilization_cap=cap, limited=True
-                )
-            return ThrottleDecision(frequency_ghz=minimum, limited=True)
+        override = fault_override(
+            state,
+            work_rate,
+            self.injector.current,
+            self.emergency_capacity_factor,
+            self._capacity_w(),
+        )
+        if override is not None:
+            return override
         return self.base.decide(state, work_rate)
 
 
@@ -350,23 +407,13 @@ class RoomTemperaturePolicy:
         """Nominal clocks until the room hits its limit; then downclock
         (and shed if the plant still cannot keep up)."""
         room = self.room
-        nominal = state.power_model.nominal_frequency_ghz
-        minimum = state.power_model.min_frequency_ghz
-        capacity = room.cooling_capacity_w
-
-        if not self._throttled and room.over_limit:
-            self._throttled = True
-        elif self._throttled and (
-            room.temperature_c <= room.max_temperature_c - self.deadband_c
-            and projected_release_w(state, work_rate, nominal) <= capacity
-        ):
-            self._throttled = False
-
-        if not self._throttled:
-            return ThrottleDecision(frequency_ghz=nominal)
-        if projected_release_w(state, work_rate, minimum) <= capacity:
-            return ThrottleDecision(frequency_ghz=minimum, limited=True)
-        cap = _shed_cap(state, work_rate, minimum, capacity)
-        return ThrottleDecision(
-            frequency_ghz=minimum, utilization_cap=cap, limited=True
+        self._throttled, decision = room_throttle(
+            state,
+            work_rate,
+            self._throttled,
+            room.temperature_c,
+            room.max_temperature_c,
+            self.deadband_c,
+            room.cooling_capacity_w,
         )
+        return decision

@@ -14,16 +14,9 @@ up:
   network has a few nonzeros per row, so past a size/density threshold
   the dense matvec wastes almost all of its work; ``backend="auto"``
   switches here automatically (see :data:`SPARSE_AUTO_MIN_STATE`).
-* :class:`NumbaBackend` — an optional JIT-compiled dense kernel.
-  Requires the ``compiled`` extra (``pip install 'repro[compiled]'``);
-  never chosen by ``auto`` because a JIT matvec reassociates floating
-  point relative to BLAS, and auto-selection must leave the golden
-  figure fingerprints machine-independent. If Numba imports but fails
-  to compile at warm-up, the backend degrades to the NumPy arithmetic
-  and counts ``solver.backend.numba_fallbacks`` instead of raising.
 
 Selection is validated up front: public entry points accept
-``backend="auto"|"numpy"|"numba"|"sparse"`` and raise
+``backend="auto"|"numpy"|"sparse"`` and raise
 :class:`~repro.errors.ConfigurationError` on anything else, or on an
 explicit request for a backend whose import is unavailable. Every
 resolution is counted under ``solver.backend.<name>`` so bench reports
@@ -41,7 +34,7 @@ from repro.errors import ConfigurationError
 from repro.obs import get_registry
 
 #: The accepted values of every ``backend=`` knob.
-BACKEND_NAMES = ("auto", "numpy", "numba", "sparse")
+BACKEND_NAMES = ("auto", "numpy", "sparse")
 
 #: ``auto`` considers the sparse backend only at or above this many
 #: state nodes. Below it the dense matvec fits in cache and CSR indexing
@@ -56,17 +49,12 @@ SPARSE_AUTO_MIN_STATE = 512
 #: air-heavy network can be large yet effectively dense.
 SPARSE_AUTO_MAX_DENSITY = 0.05
 
-#: Hint appended to unavailable-backend errors.
-_INSTALL_HINT = "install the compiled extra: pip install 'repro[compiled]'"
 
-
-def validate_backend_choice(
-    backend: str, allowed: tuple[str, ...] = BACKEND_NAMES
-) -> str:
+def validate_backend_choice(backend: str) -> str:
     """Validate a ``backend=`` knob value, returning it unchanged."""
-    if backend not in allowed:
+    if backend not in BACKEND_NAMES:
         raise ConfigurationError(
-            f"backend must be one of {list(allowed)}, got {backend!r}"
+            f"backend must be one of {list(BACKEND_NAMES)}, got {backend!r}"
         )
     return backend
 
@@ -171,128 +159,10 @@ class SparseBackend(SolverBackend):
         return derivative
 
 
-class NumbaBackend(SolverBackend):
-    """Optional Numba-JIT dense kernel (``pip install 'repro[compiled]'``).
-
-    The matvec-plus-add is compiled once per process and warmed up once
-    per network *structure* (state size), so sweeps over many same-shape
-    networks pay the JIT cost a single time. Any Numba failure after a
-    successful import — a compile error, an unsupported platform —
-    degrades permanently to the NumPy arithmetic and counts
-    ``solver.backend.numba_fallbacks``.
-    """
-
-    name = "numba"
-
-    #: Compiled (single, batch) kernels, shared process-wide.
-    _kernels: tuple[Callable, Callable] | None = None
-    #: State sizes already warmed up (one JIT specialization serves all
-    #: shapes, but the first call per structure pays dispatch + compile).
-    _warmed: set[int] = set()
-    #: Set after a post-import Numba failure; apply() then uses NumPy.
-    _degraded = False
-
-    @classmethod
-    def is_available(cls) -> bool:
-        return importlib.util.find_spec("numba") is not None
-
-    @classmethod
-    def _compiled_kernels(cls) -> tuple[Callable, Callable] | None:
-        if cls._degraded:
-            return None
-        if cls._kernels is None:
-            try:
-                import numba
-
-                @numba.njit(cache=False, fastmath=False)
-                def matvec_add(operator, temps, constants):
-                    n = operator.shape[0]
-                    out = np.empty(n)
-                    for i in range(n):
-                        acc = constants[i]
-                        row = operator[i]
-                        for j in range(n):
-                            acc += row[j] * temps[j]
-                        out[i] = acc
-                    return out
-
-                @numba.njit(cache=False, fastmath=False)
-                def batch_matvec_add(operators, temps, constants):
-                    members, n = temps.shape
-                    out = np.empty((members, n))
-                    for m in range(members):
-                        for i in range(n):
-                            acc = constants[m, i]
-                            row = operators[m, i]
-                            for j in range(n):
-                                acc += row[j] * temps[m, j]
-                            out[m, i] = acc
-                    return out
-
-                cls._kernels = (matvec_add, batch_matvec_add)
-            except Exception:  # noqa: BLE001 - any JIT failure -> NumPy
-                cls._degraded = True
-                get_registry().count("solver.backend.numba_fallbacks")
-                return None
-        return cls._kernels
-
-    def warm_up(self, n_state: int) -> None:
-        """Trigger JIT compilation once per network structure size."""
-        if n_state in self._warmed:
-            return
-        kernels = self._compiled_kernels()
-        if kernels is None:
-            return
-        matvec_add, batch_matvec_add = kernels
-        try:
-            zeros = np.zeros(n_state)
-            matvec_add(np.zeros((n_state, n_state)), zeros, zeros)
-            batch_matvec_add(
-                np.zeros((1, n_state, n_state)),
-                np.zeros((1, n_state)),
-                np.zeros((1, n_state)),
-            )
-        except Exception:  # noqa: BLE001 - compile failure -> NumPy
-            type(self)._degraded = True
-            get_registry().count("solver.backend.numba_fallbacks")
-            return
-        type(self)._warmed.add(n_state)
-        get_registry().count("solver.backend.numba_warmups")
-
-    def prepare(self, matrix: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(matrix)
-
-    def apply(
-        self, operator: np.ndarray, temps: np.ndarray, constants: np.ndarray
-    ) -> np.ndarray:
-        kernels = self._compiled_kernels()
-        if kernels is None:
-            derivative = operator @ temps
-            derivative += constants
-            return derivative
-        return kernels[0](operator, temps, constants)
-
-    def prepare_batch(self, operators: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(operators)
-
-    def apply_batch(
-        self, operators: np.ndarray, temps: np.ndarray, constants: np.ndarray
-    ) -> np.ndarray:
-        kernels = self._compiled_kernels()
-        if kernels is None:
-            derivative = np.einsum("nij,nj->ni", operators, temps)
-            derivative += constants
-            return derivative
-        return kernels[1](
-            operators, np.ascontiguousarray(temps), np.ascontiguousarray(constants)
-        )
-
-
 #: Backend classes by knob name ("auto" resolves to one of these).
 BACKEND_CLASSES: dict[str, type[SolverBackend]] = {
     NumpyBackend.name: NumpyBackend,
     SparseBackend.name: SparseBackend,
-    NumbaBackend.name: NumbaBackend,
 }
 
 
@@ -300,7 +170,7 @@ def available_backends() -> list[str]:
     """Concrete backend names importable on this machine, in knob order."""
     return [
         name
-        for name in ("numpy", "numba", "sparse")
+        for name in ("numpy", "sparse")
         if BACKEND_CLASSES[name].is_available()
     ]
 
@@ -318,9 +188,8 @@ def resolve_backend(
     :data:`SPARSE_AUTO_MIN_STATE`, so small networks never pay for it.
 
     Explicitly requesting an unavailable backend raises
-    :class:`ConfigurationError` naming the install extra; ``auto`` never
-    raises — it falls back to NumPy whenever the sparse criteria are not
-    met.
+    :class:`ConfigurationError`; ``auto`` never raises — it falls back
+    to NumPy whenever the sparse criteria are not met.
     """
     validate_backend_choice(backend)
     if backend == "auto":
@@ -332,9 +201,8 @@ def resolve_backend(
     cls = BACKEND_CLASSES[backend]
     if not cls.is_available():
         raise ConfigurationError(
-            f"solver backend {backend!r} is not available on this machine "
-            f"({_INSTALL_HINT}), or use backend='auto' for the NumPy "
-            f"fallback"
+            f"solver backend {backend!r} is not available on this machine; "
+            f"use backend='auto' for the NumPy fallback"
         )
     return cls()
 
@@ -344,34 +212,3 @@ def count_backend_selection(backend: SolverBackend) -> None:
     obs = get_registry()
     if obs.enabled:
         obs.count(f"solver.backend.{backend.name}")
-
-
-# -- elementwise JIT helper ---------------------------------------------------
-
-#: JIT-compiled elementwise kernels by cache key (see :func:`jit_compile`).
-_JIT_CACHE: dict[str, Callable] = {}
-
-
-def jit_compile(fn: Callable, key: str) -> tuple[Callable, bool]:
-    """Numba-compile an elementwise array kernel, or return it unchanged.
-
-    Used by code whose hot loop is elementwise rather than a matvec
-    (:class:`~repro.dcsim.thermal_coupling.BatchedClusterThermalState`).
-    Returns ``(kernel, jitted)``: when Numba is unavailable or fails to
-    compile ``fn``, the original function comes back with ``jitted``
-    False and ``solver.backend.numba_fallbacks`` incremented — callers
-    keep identical behaviour either way.
-    """
-    if key in _JIT_CACHE:
-        return _JIT_CACHE[key], True
-    if not NumbaBackend.is_available():
-        return fn, False
-    try:
-        import numba
-
-        compiled = numba.njit(cache=False, fastmath=False)(fn)
-    except Exception:  # noqa: BLE001 - any JIT failure -> plain function
-        get_registry().count("solver.backend.numba_fallbacks")
-        return fn, False
-    _JIT_CACHE[key] = compiled
-    return compiled, True

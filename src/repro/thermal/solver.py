@@ -33,7 +33,6 @@ import numpy as np
 from repro.errors import ConfigurationError, SolverError
 from repro.obs import ObsRegistry, get_registry
 from repro.thermal.backends import (
-    NumbaBackend,
     NumpyBackend,
     SolverBackend,
     count_backend_selection,
@@ -364,8 +363,6 @@ class _CompiledNetwork:
                 self.laplacian * self.inv_capacity_rows,
                 np.zeros(self.n_state),
             )
-        if isinstance(self.backend, NumbaBackend):
-            self.backend.warm_up(self.n_state)
 
     # -- backend plumbing -----------------------------------------------------
 
@@ -376,8 +373,6 @@ class _CompiledNetwork:
         self._prepared_cache = None
         self._input_cache_time = None
         self._input_cache = None
-        if isinstance(backend, NumbaBackend):
-            backend.warm_up(self.n_state)
 
     def operator_density(self) -> float:
         """Structural density (nnz fraction) of the compiled operator.
@@ -749,8 +744,8 @@ def simulate_transient(
     backend:
         Operator-application backend: ``"auto"`` (default — dense NumPy,
         switching to SciPy CSR past the size/density thresholds in
-        :mod:`repro.thermal.backends`), or an explicit ``"numpy"``,
-        ``"sparse"``, or ``"numba"`` (requires the ``compiled`` extra).
+        :mod:`repro.thermal.backends`), or an explicit ``"numpy"`` or
+        ``"sparse"``.
     """
     _validate_run_args(duration_s, output_interval_s)
     if method not in ("rk4", "bdf"):
@@ -948,8 +943,6 @@ class _BatchCompiledNetwork:
         self._input_cache: tuple[np.ndarray, np.ndarray] | None = None
         self._op_cache_key: bytes | None = None
         self._op_cache: tuple[object, np.ndarray] | None = None
-        if isinstance(self.backend, NumbaBackend):
-            self.backend.warm_up(self.n_state)
 
     def temperatures(self, state: np.ndarray) -> np.ndarray:
         """Stacked node temperatures; same branch arithmetic as the

@@ -191,10 +191,9 @@ def solve_steady_state_batch(
     naming the mismatching member.
 
     ``backend`` selects the sweep arithmetic. The default dict-of-arrays
-    sweep (``"numpy"``; ``"numba"`` resolves here too — the sweep is
-    elementwise, there is no matvec to JIT) keeps the bit-identity
-    guarantee above. ``"sparse"`` — or ``"auto"`` on a rack-scale network
-    past the thresholds in :mod:`repro.thermal.backends` — runs a
+    sweep (``"numpy"``) keeps the bit-identity guarantee above.
+    ``"sparse"`` — or ``"auto"`` on a rack-scale network past the
+    thresholds in :mod:`repro.thermal.backends` — runs a
     CSR-style gather/``reduceat`` sweep instead: the same damped Jacobi
     fixed point, equivalent to ≤1e-9 but not bitwise (row sums
     reassociate).

@@ -105,7 +105,7 @@ class TestFluidMode:
 
         baseline = run(False)
         with_wax = run(True)
-        assert with_wax.peak_cooling_load_w < baseline.peak_cooling_load_w
+        assert 0 < with_wax.peak_cooling_load_w < baseline.peak_cooling_load_w
         # Electrical power is identical: the wax moves heat, not load.
         assert np.allclose(with_wax.power_w, baseline.power_w)
 

@@ -24,7 +24,9 @@ from repro.dcsim.loadbalancer import LeastLoaded, RoundRobin
 from repro.dcsim.thermal_coupling import ClusterThermalState
 from repro.dcsim.throttling import (
     FaultResponsePolicy,
+    NoThermalLimit,
     RoomTemperaturePolicy,
+    ThermalLimitPolicy,
     ThrottleDecision,
 )
 from repro.errors import ConfigurationError, FaultError, SimulationError
@@ -648,6 +650,41 @@ class TestFaultResponsePolicy:
             thermal_state.power_model.min_frequency_ghz
         )
         assert decision.limited
+
+    @pytest.mark.parametrize(
+        ("base", "sheds"),
+        [
+            (ThermalLimitPolicy(capacity_w=1.0), True),
+            (ThermalLimitPolicy(capacity_w=1e9), False),
+            (NoThermalLimit(), False),
+        ],
+        ids=["capacity-short", "capacity-ample", "no-capacity"],
+    )
+    def test_severe_cooling_loss_on_roomless_bases(
+        self, base, sheds, thermal_state
+    ):
+        """A ``capacity_w`` base sheds against it only when even minimum
+        DVFS overheats; a base with no capacity gets minimum DVFS alone."""
+        injector = FaultInjector(
+            FaultSchedule(
+                faults=(
+                    fault(
+                        kind=COOLING_LOSS,
+                        magnitude=0.8,
+                        start=0.0,
+                        end=100.0,
+                    ),
+                )
+            )
+        )
+        injector.advance_to(50.0)
+        policy = FaultResponsePolicy(base, injector)
+        decision = policy.decide(thermal_state, np.full(4, 0.5))
+        assert decision.frequency_ghz == (
+            thermal_state.power_model.min_frequency_ghz
+        )
+        assert decision.limited
+        assert (decision.utilization_cap < 1.0) == sheds
 
     def test_mild_cooling_loss_delegates(self, room_policy, thermal_state):
         injector = FaultInjector(

@@ -3,13 +3,10 @@
 Three layers are pinned here: the selection logic (``backend=`` knob
 validation, ``auto`` thresholds, unavailable-backend errors), numerical
 equivalence of every available backend against the dense-NumPy oracle on
-hypothesis-generated networks, and the wiring that degrades gracefully
-when Numba is missing or broken. The large synthetic-network suite is
-marked ``slow`` so the fast CI lane stays fast.
+hypothesis-generated networks, and the sparse backend on a rack-scale
+synthetic network. That large suite is marked ``slow`` so the fast CI
+lane stays fast.
 """
-
-import sys
-import types
 
 import numpy as np
 import pytest
@@ -19,11 +16,9 @@ from repro.errors import ConfigurationError
 from repro.thermal.backends import (
     BACKEND_NAMES,
     SPARSE_AUTO_MIN_STATE,
-    NumbaBackend,
     NumpyBackend,
     SparseBackend,
     available_backends,
-    jit_compile,
     resolve_backend,
     validate_backend_choice,
 )
@@ -72,20 +67,6 @@ class TestBackendSelection:
         )
         assert isinstance(backend, NumpyBackend)
 
-    def test_auto_never_picks_numba(self, monkeypatch):
-        """Even with Numba importable, ``auto`` resolves dense or sparse
-        only — auto-selection must not make golden fingerprints depend on
-        what happens to be installed."""
-        monkeypatch.setattr(
-            NumbaBackend, "is_available", classmethod(lambda cls: True)
-        )
-        dense = resolve_backend("auto", n_state=8, density=1.0)
-        sparse = resolve_backend(
-            "auto", n_state=SPARSE_AUTO_MIN_STATE, density=0.01
-        )
-        assert isinstance(dense, NumpyBackend)
-        assert isinstance(sparse, SparseBackend)
-
     def test_density_probe_is_lazy_below_threshold(self):
         """Small networks never pay for the nonzero count."""
 
@@ -121,21 +102,10 @@ class TestBackendSelection:
             NumpyBackend,
         )
 
-    def test_unavailable_backend_names_the_install_extra(self, monkeypatch):
-        monkeypatch.setattr(
-            NumbaBackend, "is_available", classmethod(lambda cls: False)
-        )
-        with pytest.raises(ConfigurationError) as excinfo:
-            resolve_backend("numba", n_state=8)
-        message = str(excinfo.value)
-        assert "pip install 'repro[compiled]'" in message
-        assert "backend='auto'" in message
-
     def test_available_backends_reports_importability(self):
         names = available_backends()
         assert "numpy" in names
         assert "sparse" in names  # scipy is a hard dependency
-        assert ("numba" in names) == NumbaBackend.is_available()
 
     def test_selection_is_counted(self):
         from repro.obs import get_registry
@@ -325,190 +295,3 @@ class TestSyntheticNetworkGenerator:
             rack_scale_network(servers=0)
         with pytest.raises(ConfigurationError):
             rack_scale_network(servers=4, pcm_every=0)
-
-
-class TestClusterStateBackendKnob:
-    """The ``backend=`` knob on the batched cluster thermal state."""
-
-    def _state(self, one_u_spec, one_u_characterization, **kwargs):
-        from repro.dcsim.thermal_coupling import ClusterThermalState
-        from repro.materials.library import (
-            commercial_paraffin_with_melting_point,
-        )
-
-        return ClusterThermalState(
-            characterization=one_u_characterization,
-            power_model=one_u_spec.power_model,
-            material=commercial_paraffin_with_melting_point(43.0),
-            server_count=8,
-            **kwargs,
-        )
-
-    def test_sparse_is_rejected(self, one_u_spec, one_u_characterization):
-        with pytest.raises(ConfigurationError, match="does not apply"):
-            self._state(one_u_spec, one_u_characterization, backend="sparse")
-
-    def test_unknown_backend_is_rejected(
-        self, one_u_spec, one_u_characterization
-    ):
-        with pytest.raises(ConfigurationError, match="backend must be one of"):
-            self._state(one_u_spec, one_u_characterization, backend="mkl")
-
-    def test_numba_unavailable_names_install_extra(
-        self, one_u_spec, one_u_characterization, monkeypatch
-    ):
-        monkeypatch.setattr(
-            NumbaBackend, "is_available", classmethod(lambda cls: False)
-        )
-        with pytest.raises(
-            ConfigurationError, match=r"repro\[compiled\]"
-        ):
-            self._state(one_u_spec, one_u_characterization, backend="numba")
-
-    def test_auto_runs_the_numpy_path(
-        self, one_u_spec, one_u_characterization
-    ):
-        state = self._state(one_u_spec, one_u_characterization, backend="auto")
-        assert state.backend == "numpy"
-        power, removed, stored = state.step(
-            30.0, np.full(8, 0.8), state.power_model.nominal_frequency_ghz
-        )
-        assert np.all(np.isfinite(power))
-        assert np.allclose(power, removed + stored)
-
-
-class _StubNumba(types.ModuleType):
-    """A numba lookalike whose ``njit`` runs functions in plain Python."""
-
-    def __init__(self, fail: bool = False):
-        super().__init__("numba")
-        self._fail = fail
-
-    def njit(self, *args, **kwargs):
-        if self._fail:
-            raise RuntimeError("stub JIT compile failure")
-
-        def decorate(fn):
-            return fn
-
-        return decorate
-
-
-@pytest.fixture
-def reset_numba_state(monkeypatch):
-    """Give each wiring test a pristine NumbaBackend class state."""
-    monkeypatch.setattr(NumbaBackend, "_kernels", None)
-    monkeypatch.setattr(NumbaBackend, "_warmed", set())
-    monkeypatch.setattr(NumbaBackend, "_degraded", False)
-    return monkeypatch
-
-
-class TestNumbaWiring:
-    """The JIT plumbing, exercised via a stub numba module so both CI
-    lanes (with and without the compiled extra) run the same tests."""
-
-    def test_stub_kernels_match_numpy(self, reset_numba_state):
-        monkeypatch = reset_numba_state
-        monkeypatch.setitem(sys.modules, "numba", _StubNumba())
-        monkeypatch.setattr(
-            NumbaBackend, "is_available", classmethod(lambda cls: True)
-        )
-        backend = resolve_backend("numba", n_state=6)
-        assert isinstance(backend, NumbaBackend)
-        rng = np.random.default_rng(0)
-        operator = rng.normal(size=(6, 6))
-        temps = rng.normal(size=6)
-        constants = rng.normal(size=6)
-        expected = NumpyBackend().apply(operator, temps, constants)
-        assert _close(backend.apply(operator, temps, constants), expected)
-        batch_expected = NumpyBackend().apply_batch(
-            operator[None], temps[None], constants[None]
-        )
-        assert _close(
-            backend.apply_batch(operator[None], temps[None], constants[None]),
-            batch_expected,
-        )
-
-    def test_warm_up_counts_once_per_structure(self, reset_numba_state):
-        from repro.obs import get_registry
-
-        monkeypatch = reset_numba_state
-        monkeypatch.setitem(sys.modules, "numba", _StubNumba())
-        obs = get_registry()
-        was_enabled = obs.enabled
-        obs.enable()
-        obs.reset()
-        try:
-            backend = NumbaBackend()
-            backend.warm_up(6)
-            backend.warm_up(6)  # second warm-up of the same size is free
-            backend.warm_up(9)
-            counters = obs.snapshot().counters
-            assert counters["solver.backend.numba_warmups"] == 2
-        finally:
-            obs.reset()
-            if not was_enabled:
-                obs.disable()
-
-    def test_compile_failure_degrades_to_numpy(self, reset_numba_state):
-        from repro.obs import get_registry
-
-        monkeypatch = reset_numba_state
-        monkeypatch.setitem(sys.modules, "numba", _StubNumba(fail=True))
-        obs = get_registry()
-        was_enabled = obs.enabled
-        obs.enable()
-        obs.reset()
-        try:
-            backend = NumbaBackend()
-            rng = np.random.default_rng(1)
-            operator = rng.normal(size=(5, 5))
-            temps = rng.normal(size=5)
-            constants = rng.normal(size=5)
-            # The degraded path runs the exact NumPy arithmetic.
-            assert np.array_equal(
-                backend.apply(operator, temps, constants),
-                NumpyBackend().apply(operator, temps, constants),
-            )
-            assert NumbaBackend._degraded
-            counters = obs.snapshot().counters
-            assert counters["solver.backend.numba_fallbacks"] == 1
-        finally:
-            obs.reset()
-            if not was_enabled:
-                obs.disable()
-
-    def test_jit_compile_falls_back_on_failure(self, reset_numba_state):
-        monkeypatch = reset_numba_state
-        monkeypatch.setitem(sys.modules, "numba", _StubNumba(fail=True))
-        monkeypatch.setattr(
-            NumbaBackend, "is_available", classmethod(lambda cls: True)
-        )
-
-        def double(x):
-            return 2.0 * x
-
-        kernel, jitted = jit_compile(double, "test.double.fail")
-        assert kernel is double
-        assert not jitted
-
-    def test_jit_compile_caches_compiled_kernels(self, reset_numba_state):
-        from repro.thermal import backends
-
-        monkeypatch = reset_numba_state
-        monkeypatch.setitem(sys.modules, "numba", _StubNumba())
-        monkeypatch.setattr(
-            NumbaBackend, "is_available", classmethod(lambda cls: True)
-        )
-
-        def double(x):
-            return 2.0 * x
-
-        try:
-            first, jitted_first = jit_compile(double, "test.double.ok")
-            again, jitted_again = jit_compile(double, "test.double.ok")
-            assert jitted_first and jitted_again
-            assert again is first
-            assert first(3.0) == 6.0
-        finally:
-            backends._JIT_CACHE.pop("test.double.ok", None)

@@ -46,10 +46,12 @@ class TestAgainstTransient:
             constant_utilization(1.0), placebo=True
         )
         steady = solve_steady_state(network)
+        assert steady.iterations > 0
         network2 = one_u_spec.chassis.build_network(
             constant_utilization(1.0), placebo=True
         )
         transient = simulate_transient(network2, hours(10.0), output_interval_s=600.0)
+        assert transient.times_s[-1] == pytest.approx(hours(10.0))
         finals = transient.final_temperatures()
         for name, value in steady.temperatures_c.items():
             if name in finals:

@@ -139,24 +139,6 @@ class TestStepEquivalence:
         assert collapsed.uniform_advancer(60.0) is not None
         assert expanded.uniform_advancer(60.0) is None
 
-    def test_loop_kernel_on_columns_matches_numpy_path(self):
-        # The Numba backend compiles _wax_step_loop; run it uncompiled on
-        # collapsed (clusters, 1) and expanded arrays against NumPy.
-        reference = _batched(3, 5)
-        kernels = [_batched(3, 5), _batched(3, 5)]
-        kernels[1].expand("forced")
-        for state in kernels:
-            state._step_kernel = tc._wax_step_loop
-        frequency = np.array([NOMINAL, MINIMUM, NOMINAL])
-        for utilization in _utilization_schedule(3, 5, 12, seed=3):
-            want = reference.step(60.0, utilization, frequency)
-            for state in kernels:
-                _assert_returns_identical(
-                    want, state.step(60.0, utilization, frequency)
-                )
-                _assert_states_identical(reference, state)
-        assert kernels[0].is_uniform
-
     def test_returns_and_views_are_read_only(self):
         state = _batched(2, 4)
         power, release, wax = state.step(60.0, np.full((2, 1), 0.5), NOMINAL)
