@@ -616,6 +616,13 @@ def _service_latency(quick: bool, jobs: int) -> Callable[[], object]:
     return run
 
 
+def _sprint_budget(quick: bool, jobs: int) -> Callable[[], object]:
+    from repro.sprinting import SprintChip, run_sprint
+
+    chip = SprintChip()
+    return lambda: run_sprint(chip, 8.0, pcm_grams=20.0, horizon_s=3600.0)
+
+
 #: The tier-2 suite, in execution order.
 SCENARIOS: tuple[Scenario, ...] = (
     Scenario(
@@ -724,6 +731,13 @@ SCENARIOS: tuple[Scenario, ...] = (
         "backend='auto' (the solver.backend.sparse counter proves the "
         "auto threshold fired)",
         _solver_backend_transient,
+    ),
+    Scenario(
+        "sprint_budget",
+        "the control tournament's sprint budget: an 8 W, 20 g package "
+        "sprinting to its junction limit (1009.4 s of a 3600 s horizon); "
+        "solver.rk4_steps pins the run's stop at the limit",
+        _sprint_budget,
     ),
 )
 

@@ -165,12 +165,18 @@ def run_sprint(
 
     Returns the sprint duration (time to the junction limit, or the full
     horizon if the chip never hits it — i.e. the power was sustainable).
+    The integration ends at the first output sample at or over the
+    limit; its trace is exactly the prefix of the full-horizon trace, so
+    the result is the one the whole horizon would give.
     """
     if horizon_s <= 0:
         raise ConfigurationError("horizon must be positive")
     network = chip.build_network(sprint_power_w, pcm_grams, material)
     result = simulate_transient(
-        network, horizon_s, output_interval_s=output_interval_s
+        network,
+        horizon_s,
+        output_interval_s=output_interval_s,
+        until=("die", chip.junction_limit_c),
     )
     return _sprint_outcome(chip, result, sprint_power_w, pcm_grams, horizon_s)
 
@@ -187,7 +193,10 @@ def run_sprint_batch(
 
     All members share the package structure (the PCM loadout must be the
     same), so the sweep advances as one stacked RK4 integration via
-    :func:`repro.thermal.solver.simulate_transient_batch`.
+    :func:`repro.thermal.solver.simulate_transient_batch`. It ends once
+    every member has reached the junction limit; each member's trace is
+    exactly the prefix of its full-horizon trace, so every result is the
+    one the whole horizon would give.
     """
     if horizon_s <= 0:
         raise ConfigurationError("horizon must be positive")
@@ -196,7 +205,10 @@ def run_sprint_batch(
         for power in sprint_powers_w
     ]
     batch = simulate_transient_batch(
-        networks, horizon_s, output_interval_s=output_interval_s
+        networks,
+        horizon_s,
+        output_interval_s=output_interval_s,
+        until=("die", chip.junction_limit_c),
     )
     return [
         _sprint_outcome(chip, result, float(power), pcm_grams, horizon_s)

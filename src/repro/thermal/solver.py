@@ -159,6 +159,23 @@ def _sample_times(duration_s: float, output_interval_s: float) -> np.ndarray:
     return times
 
 
+def _pcm_temperatures(params, specific: np.ndarray) -> np.ndarray:
+    """The piecewise T(h) map over specific enthalpies, broadcast.
+
+    ``params`` carries stacked material parameters (a compiled network or
+    batch); the branches follow :meth:`PCMMaterial.temperature_at_enthalpy`
+    with the liquid intercept and mushy slope precomputed.
+    """
+    solid = params.pcm_solidus + specific / params.pcm_c_solid
+    liquid = params.pcm_liquid_intercept + specific / params.pcm_c_liquid
+    mushy = params.pcm_solidus + specific * params.pcm_mushy_slope
+    return np.where(
+        specific <= 0.0,
+        solid,
+        np.where(specific >= params.pcm_fusion, liquid, mushy),
+    )
+
+
 class _CompiledNetwork:
     """Vectorized flat-array evaluator of a network's right-hand side.
 
@@ -348,6 +365,15 @@ class _CompiledNetwork:
                 float(self.pcm_mushy_slope[0]),
             )
 
+        # With constant powers, static boundaries and no air path the
+        # derivative's constant terms never change: computed once per run.
+        self.time_invariant = (
+            self.static_boundary_flows is not None
+            and self.air_path is None
+            and self.power_vector_fn is None
+            and not self.power_slots
+        )
+
         # -- per-run caches ----------------------------------------------------
         self._input_cache_time: float | None = None
         self._input_cache: np.ndarray | None = None
@@ -438,19 +464,72 @@ class _CompiledNetwork:
         temps = np.empty(self.n_state)
         temps[: self.n_cap] = state[: self.n_cap]
         if self.n_pcm:
-            specific = state[self.n_cap :] / self.pcm_masses
-            solid = self.pcm_solidus + specific / self.pcm_c_solid
-            liquid = self.pcm_liquid_intercept + specific / self.pcm_c_liquid
-            mushy = self.pcm_solidus + specific * self.pcm_mushy_slope
-            temps[self.n_cap :] = np.where(
-                specific <= 0.0,
-                solid,
-                np.where(specific >= self.pcm_fusion, liquid, mushy),
+            temps[self.n_cap :] = _pcm_temperatures(
+                self, state[self.n_cap :] / self.pcm_masses
             )
         return temps
 
-    def boundary_temperature(self, name: str, time_s: float) -> float:
-        return self.boundary_functions[name](time_s)
+    def expand(self, rows: np.ndarray, times: np.ndarray) -> TransientResult:
+        """Named traces of raw state rows ``(n_samples, n_state)``.
+
+        The enthalpy map and melt fractions are vectorized over every
+        sample; only schedule-driven boundaries and powers and the air-path
+        mixing chain are evaluated one sample at a time.
+        """
+        n = len(times)
+        # One contiguous trace per state node; PCM rows become temperatures.
+        columns = rows.T.copy()
+        enthalpies = columns[self.n_cap :].copy()
+        melt = np.empty((0, n))
+        if self.n_pcm:
+            specific = rows[:, self.n_cap :] / self.pcm_masses
+            columns[self.n_cap :] = _pcm_temperatures(self, specific).T
+            melt = np.where(
+                specific <= 0.0,
+                0.0,
+                np.where(
+                    specific >= self.pcm_fusion, 1.0, specific / self.pcm_fusion
+                ),
+            ).T.copy()
+        sample_times = [float(t) for t in times]
+        state_names = self.cap_names + self.pcm_names
+        temperatures = dict(zip(state_names, columns))
+        for name, func in self.boundary_functions.items():
+            constant = constant_value_of(func)
+            temperatures[name] = (
+                np.full(n, constant)
+                if constant is not None
+                else np.array([func(t) for t in sample_times], dtype=float)
+            )
+
+        air: dict[str, np.ndarray] = {}
+        flow = np.zeros(n)
+        if self.air_path is not None:
+            air = {segment.name: np.empty(n) for segment in self.air_path.segments}
+            for k, time_s in enumerate(sample_times):
+                named = dict(zip(state_names, columns[:, k].tolist()))
+                for name in self.boundary_names:
+                    named[name] = float(temperatures[name][k])
+                air_map, flow[k] = self.network.air_temperatures(named, time_s)
+                for name, value in air_map.items():
+                    air[name][k] = value
+
+        if self.power_slots:
+            power = np.array(
+                [self.network.total_power_w(t) for t in sample_times], dtype=float
+            )
+        else:
+            power = np.full(n, float(self.network.total_power_w(0.0)))
+
+        return TransientResult(
+            times_s=times,
+            temperatures_c=temperatures,
+            air_temperatures_c=air,
+            flow_m3_s=flow,
+            melt_fractions=dict(zip(self.pcm_names, melt)),
+            pcm_enthalpies_j=dict(zip(self.pcm_names, enthalpies)),
+            power_w=power,
+        )
 
     # -- time-dependent inputs ---------------------------------------------
 
@@ -552,9 +631,12 @@ class _CompiledNetwork:
         The constant vector collects node powers, boundary-edge flows, and
         the air path's inlet contribution, already divided by capacity. RK4
         evaluates the midpoint twice per step, so one step costs three
-        distinct input evaluations instead of four.
+        distinct input evaluations instead of four; a time-invariant
+        network evaluates them once.
         """
-        if time_s == self._input_cache_time and self._input_cache is not None:
+        if self._input_cache is not None and (
+            self.time_invariant or time_s == self._input_cache_time
+        ):
             return self._input_cache
         if self.static_boundary_flows is not None:
             boundary = self.boundary_const
@@ -581,79 +663,6 @@ class _CompiledNetwork:
         """Packed state derivative; mirrors ThermalNetwork.state_derivative."""
         operator, constants = self._constants_at(time_s)
         return self.backend.apply(operator, self.temperatures(state), constants)
-
-    def observe(
-        self, state: np.ndarray, time_s: float
-    ) -> tuple[dict[str, float], dict[str, float], float]:
-        """Node temperatures, segment air temperatures, and flow at a state."""
-        temps = self.temperatures(state)
-        named = {name: float(temps[self.state_index[name]]) for name in self.cap_names}
-        named.update(
-            {name: float(temps[self.state_index[name]]) for name in self.pcm_names}
-        )
-        for name, func in self.boundary_functions.items():
-            named[name] = float(func(time_s))
-        air: dict[str, float] = {}
-        flow = 0.0
-        if self.air_path is not None:
-            air_map, flow = self.network.air_temperatures(
-                {**named}, time_s
-            )
-            air = {name: float(value) for name, value in air_map.items()}
-        return named, air, flow
-
-
-class _TraceBuffers:
-    """Preallocated output traces shared by the RK4, BDF, and batch paths."""
-
-    def __init__(self, compiled: _CompiledNetwork, n_outputs: int) -> None:
-        self.compiled = compiled
-        self.temp_traces = {
-            name: np.empty(n_outputs)
-            for name in compiled.cap_names
-            + compiled.pcm_names
-            + list(compiled.boundary_functions)
-        }
-        self.air_traces: dict[str, np.ndarray] = {}
-        if compiled.air_path is not None:
-            self.air_traces = {
-                segment.name: np.empty(n_outputs)
-                for segment in compiled.air_path.segments
-            }
-        self.flow_trace = np.zeros(n_outputs)
-        self.melt_traces = {name: np.empty(n_outputs) for name in compiled.pcm_names}
-        self.enthalpy_traces = {
-            name: np.empty(n_outputs) for name in compiled.pcm_names
-        }
-        self.power_trace = np.empty(n_outputs)
-
-    def record(self, sample_index: int, state: np.ndarray, time_s: float) -> None:
-        compiled = self.compiled
-        named, air, flow = compiled.observe(state, time_s)
-        for name, value in named.items():
-            self.temp_traces[name][sample_index] = value
-        for name, value in air.items():
-            self.air_traces[name][sample_index] = value
-        self.flow_trace[sample_index] = flow
-        for i, name in enumerate(compiled.pcm_names):
-            enthalpy = state[compiled.n_cap + i]
-            self.enthalpy_traces[name][sample_index] = enthalpy
-            sample = compiled.pcm_samples[i]
-            self.melt_traces[name][sample_index] = (
-                sample.material.melt_fraction_at_enthalpy(enthalpy / sample.mass_kg)
-            )
-        self.power_trace[sample_index] = compiled.network.total_power_w(time_s)
-
-    def result(self, times: np.ndarray) -> TransientResult:
-        return TransientResult(
-            times_s=times,
-            temperatures_c=self.temp_traces,
-            air_temperatures_c=self.air_traces,
-            flow_m3_s=self.flow_trace,
-            melt_fractions=self.melt_traces,
-            pcm_enthalpies_j=self.enthalpy_traces,
-            power_w=self.power_trace,
-        )
 
 
 def stable_step_s(network: ThermalNetwork, safety: float = DEFAULT_STEP_SAFETY) -> float:
@@ -703,6 +712,45 @@ def _resolve_step(
     return min(step, output_interval_s)
 
 
+def _resolve_until(
+    compiled: _CompiledNetwork, until: tuple[str, float] | None
+) -> tuple[int, float] | None:
+    """(state index, limit) of a terminal condition, or ``None``."""
+    if until is None:
+        return None
+    name, limit = until
+    if name not in compiled.state_index:
+        raise ConfigurationError(
+            f"until node {name!r} is not a capacitive or PCM node of network "
+            f"{compiled.network.name!r}"
+        )
+    return compiled.state_index[name], float(limit)
+
+
+def _reached(
+    compiled: _CompiledNetwork | _BatchCompiledNetwork,
+    state: np.ndarray,
+    target: tuple[int, float] | None,
+) -> bool | np.ndarray:
+    """Whether the ``until`` node's recorded temperature is at its limit.
+
+    PCM nodes are read through the same enthalpy map the traces use, so
+    the check agrees with the returned trace bit for bit.
+    """
+    if target is None:
+        return False
+    index, limit = target
+    temps = state if index < compiled.n_cap else compiled.temperatures(state)
+    return temps[..., index] >= limit
+
+
+def _count_until_stop(obs: ObsRegistry, stop: int, n_outputs: int) -> None:
+    """Record that a terminal condition ended a run before its horizon."""
+    if stop < n_outputs - 1:
+        obs.count("solver.until.stops")
+        obs.count("solver.until.samples_skipped", n_outputs - 1 - stop)
+
+
 def simulate_transient(
     network: ThermalNetwork,
     duration_s: float,
@@ -712,6 +760,8 @@ def simulate_transient(
     commit_final_state: bool = False,
     method: str = "rk4",
     backend: str = "auto",
+    *,
+    until: tuple[str, float] | None = None,
 ) -> TransientResult:
     """Integrate a network forward in time and sample its trajectory.
 
@@ -746,6 +796,12 @@ def simulate_transient(
         switching to SciPy CSR past the size/density thresholds in
         :mod:`repro.thermal.backends`), or an explicit ``"numpy"`` or
         ``"sparse"``.
+    until:
+        Terminal condition ``(node name, limit °C)``: the run ends after
+        the first output sample (t=0 included) at which that capacitive
+        or PCM node's temperature is ``>=`` the limit. The traces are then
+        exactly the prefix of the full-horizon traces, and
+        ``commit_final_state`` commits the state at that sample.
     """
     _validate_run_args(duration_s, output_interval_s)
     if method not in ("rk4", "bdf"):
@@ -756,6 +812,7 @@ def simulate_transient(
     obs = get_registry()
     with obs.timer("solver.transient"):
         compiled = _CompiledNetwork(network)
+        target = _resolve_until(compiled, until)
         compiled.set_backend(
             resolve_backend(backend, compiled.n_state, compiled.operator_density)
         )
@@ -765,14 +822,23 @@ def simulate_transient(
 
         if method == "bdf":
             return _simulate_bdf(
-                network, compiled, duration_s, output_interval_s, commit_final_state
+                network, compiled, duration_s, output_interval_s,
+                commit_final_state, target, obs,
             )
 
         step = _resolve_step(network, step_safety, max_step_s, output_interval_s)
         return _integrate_rk4(
             network, compiled, duration_s, output_interval_s, step,
-            commit_final_state, obs,
+            commit_final_state, target, obs,
         )
+
+
+def _commit_pcm_state(
+    network: ThermalNetwork, compiled: _CompiledNetwork, state: np.ndarray
+) -> None:
+    """Write a state's PCM enthalpies back into the network's samples."""
+    for i, name in enumerate(compiled.pcm_names):
+        network.pcm_node(name).sample.enthalpy_j = float(state[compiled.n_cap + i])
 
 
 def _integrate_rk4(
@@ -782,6 +848,7 @@ def _integrate_rk4(
     output_interval_s: float,
     step: float,
     commit_final_state: bool,
+    target: tuple[int, float] | None,
     obs: ObsRegistry,
 ) -> TransientResult:
     """Fixed-step RK4 integration of the compiled network."""
@@ -790,29 +857,31 @@ def _integrate_rk4(
     n_outputs = len(times)
 
     state = network.initial_state()
-    n_cap = compiled.n_cap
-    buffers = _TraceBuffers(compiled, n_outputs)
-
-    buffers.record(0, state, 0.0)
+    rows = np.empty((n_outputs, compiled.n_state))
+    rows[0] = state
+    stop = 0
     time_now = 0.0
     steps_taken = 0
-    for sample_index in range(1, n_outputs):
-        target = times[sample_index]
-        while time_now < target - 1e-9:
-            dt = min(step, target - time_now)
-            k1 = compiled.rhs(state, time_now)
-            k2 = compiled.rhs(state + 0.5 * dt * k1, time_now + 0.5 * dt)
-            k3 = compiled.rhs(state + 0.5 * dt * k2, time_now + 0.5 * dt)
-            k4 = compiled.rhs(state + dt * k3, time_now + dt)
-            state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            time_now += dt
-            steps_taken += 1
-            if not np.all(np.isfinite(state)):
-                raise SolverError(
-                    f"non-finite state at t={time_now:.1f}s in network "
-                    f"{network.name!r}; step {step:.3g}s may be unstable"
-                )
-        buffers.record(sample_index, state, target)
+    if not _reached(compiled, state, target):
+        for stop in range(1, n_outputs):
+            sample_time = times[stop]
+            while time_now < sample_time - 1e-9:
+                dt = min(step, sample_time - time_now)
+                k1 = compiled.rhs(state, time_now)
+                k2 = compiled.rhs(state + 0.5 * dt * k1, time_now + 0.5 * dt)
+                k3 = compiled.rhs(state + 0.5 * dt * k2, time_now + 0.5 * dt)
+                k4 = compiled.rhs(state + dt * k3, time_now + dt)
+                state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                time_now += dt
+                steps_taken += 1
+                if not np.all(np.isfinite(state)):
+                    raise SolverError(
+                        f"non-finite state at t={time_now:.1f}s in network "
+                        f"{network.name!r}; step {step:.3g}s may be unstable"
+                    )
+            rows[stop] = state
+            if _reached(compiled, state, target):
+                break
 
     if obs.enabled:
         obs.count("solver.runs")
@@ -820,12 +889,12 @@ def _integrate_rk4(
         obs.count("solver.rk4_steps", steps_taken)
         obs.count("solver.rhs_evals", 4 * steps_taken)
         obs.record("solver.step_s", step)
+        _count_until_stop(obs, stop, n_outputs)
 
     if commit_final_state:
-        for i, name in enumerate(compiled.pcm_names):
-            network.pcm_node(name).sample.enthalpy_j = float(state[n_cap + i])
+        _commit_pcm_state(network, compiled, state)
 
-    return buffers.result(times)
+    return compiled.expand(rows[: stop + 1], times[: stop + 1])
 
 
 def _simulate_bdf(
@@ -834,13 +903,17 @@ def _simulate_bdf(
     duration_s: float,
     output_interval_s: float,
     commit_final_state: bool,
+    target: tuple[int, float] | None,
+    obs: ObsRegistry,
 ) -> TransientResult:
     """SciPy BDF integration of the compiled network (cross-check path).
 
     Power and fan schedules may be discontinuous (step profiles), which
     adaptive implicit solvers handle but step over; the maximum internal
     step is capped at the output interval so no feature narrower than the
-    sampling resolution is skipped entirely.
+    sampling resolution is skipped entirely. The adaptive steps depend on
+    the whole span, so a terminal condition slices the full-horizon
+    solution rather than ending the integration.
     """
     from scipy.integrate import solve_ivp
 
@@ -861,25 +934,24 @@ def _simulate_bdf(
     if not solution.success:
         raise SolverError(f"BDF integration failed: {solution.message}")
 
-    obs = get_registry()
+    rows = solution.y.T
+    stop = n_outputs - 1
+    if target is not None:
+        stop = next(
+            (k for k in range(n_outputs) if _reached(compiled, rows[k], target)),
+            stop,
+        )
+
     if obs.enabled:
         obs.count("solver.runs")
         obs.count("solver.method.bdf")
         obs.count("solver.rhs_evals", int(solution.nfev))
-
-    n_cap = compiled.n_cap
-    buffers = _TraceBuffers(compiled, n_outputs)
-    for sample_index, time_s in enumerate(times):
-        buffers.record(sample_index, solution.y[:, sample_index], float(time_s))
+        _count_until_stop(obs, stop, n_outputs)
 
     if commit_final_state:
-        # The final t_eval sample now sits exactly at the horizon.
-        for i, name in enumerate(compiled.pcm_names):
-            network.pcm_node(name).sample.enthalpy_j = float(
-                solution.y[n_cap + i, -1]
-            )
+        _commit_pcm_state(network, compiled, rows[stop])
 
-    return buffers.result(times)
+    return compiled.expand(rows[: stop + 1], times[: stop + 1])
 
 
 class _BatchCompiledNetwork:
@@ -939,6 +1011,8 @@ class _BatchCompiledNetwork:
                 [m.static_boundary_flows for m in members]
             )
 
+        self.time_invariant = all(m.time_invariant for m in members)
+
         self._input_cache_time: float | None = None
         self._input_cache: tuple[np.ndarray, np.ndarray] | None = None
         self._op_cache_key: bytes | None = None
@@ -950,14 +1024,8 @@ class _BatchCompiledNetwork:
         temps = np.empty_like(state)
         temps[:, : self.n_cap] = state[:, : self.n_cap]
         if self.n_pcm:
-            specific = state[:, self.n_cap :] / self.pcm_masses
-            solid = self.pcm_solidus + specific / self.pcm_c_solid
-            liquid = self.pcm_liquid_intercept + specific / self.pcm_c_liquid
-            mushy = self.pcm_solidus + specific * self.pcm_mushy_slope
-            temps[:, self.n_cap :] = np.where(
-                specific <= 0.0,
-                solid,
-                np.where(specific >= self.pcm_fusion, liquid, mushy),
+            temps[:, self.n_cap :] = _pcm_temperatures(
+                self, state[:, self.n_cap :] / self.pcm_masses
             )
         return temps
 
@@ -978,8 +1046,11 @@ class _BatchCompiledNetwork:
         return self._op_cache
 
     def _constants_at(self, time_s: float) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked (K, state-independent terms) at a time, cached per time."""
-        if time_s == self._input_cache_time and self._input_cache is not None:
+        """Stacked (K, state-independent terms) at a time, cached per time
+        (once per run when every member is time-invariant)."""
+        if self._input_cache is not None and (
+            self.time_invariant or time_s == self._input_cache_time
+        ):
             return self._input_cache
         if self.static_boundary:
             boundary = self.boundary_const
@@ -1024,6 +1095,8 @@ def simulate_transient_batch(
     commit_final_state: bool = False,
     backend: str = "auto",
     progress_cb: Callable[[int, int, float], None] | None = None,
+    *,
+    until: tuple[str, float] | None = None,
 ) -> BatchTransientResult:
     """Advance N structurally-identical networks in one RK4 loop.
 
@@ -1044,6 +1117,12 @@ def simulate_transient_batch(
     loop when omitted. An exception raised by the callback aborts the
     integration and propagates to the caller unchanged — long-running
     service layers use this for cooperative cancellation.
+
+    ``until`` is the terminal condition of :func:`simulate_transient`,
+    applied per member: the batch ends after the first output sample at
+    which every still-active member has reached the limit at least once.
+    Every member's traces are then exactly the prefix of its
+    full-horizon traces.
     """
     _validate_run_args(duration_s, output_interval_s)
     if not networks:
@@ -1054,6 +1133,8 @@ def simulate_transient_batch(
     obs = get_registry()
     with obs.timer("solver.transient_batch"):
         members = [_CompiledNetwork(network) for network in networks]
+        # Structure is shared, so member 0 resolves the node for everyone.
+        target = _resolve_until(members[0], until)
         # All members share one structure, so member 0's size and density
         # stand in for the whole batch when resolving "auto".
         batch_backend = resolve_backend(
@@ -1072,50 +1153,61 @@ def simulate_transient_batch(
         times = _sample_times(duration_s, output_interval_s)
         n_outputs = len(times)
         n_members = len(networks)
-        n_cap = batch.n_cap
 
         state = np.stack([network.initial_state() for network in networks])
         active = np.ones(n_members, dtype=bool)
         failures: dict[int, str] = {}
-        buffers = [_TraceBuffers(member, n_outputs) for member in members]
+        # One raw-row buffer per member, so each is freed once expanded.
+        rows = [np.empty((n_outputs, batch.n_state)) for _ in networks]
 
-        for member_index, member_buffers in enumerate(buffers):
-            member_buffers.record(0, state[member_index], 0.0)
+        def record(sample_index: int) -> None:
+            for member_rows, member_state in zip(rows, state):
+                member_rows[sample_index] = member_state
+
+        record(0)
+        crossed = np.zeros(n_members, dtype=bool)
+
+        def finished() -> bool:
+            if target is None:
+                return False
+            crossed[:] |= _reached(batch, state, target)
+            return bool(np.all(crossed[active]))
+
         if progress_cb is not None:
             progress_cb(0, n_outputs, 0.0)
 
+        stop = 0
         time_now = 0.0
         steps_taken = 0
-        for sample_index in range(1, n_outputs):
-            target = times[sample_index]
-            while time_now < target - 1e-9:
-                dt = min(step, target - time_now)
-                k1 = batch.rhs(state, time_now)
-                k2 = batch.rhs(state + 0.5 * dt * k1, time_now + 0.5 * dt)
-                k3 = batch.rhs(state + 0.5 * dt * k2, time_now + 0.5 * dt)
-                k4 = batch.rhs(state + dt * k3, time_now + dt)
-                advanced = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                time_now += dt
-                steps_taken += 1
-                finite = np.all(np.isfinite(advanced), axis=1)
-                newly_diverged = active & ~finite
-                if np.any(newly_diverged):
-                    for member_index in np.flatnonzero(newly_diverged):
-                        failures[int(member_index)] = (
-                            f"non-finite state at t={time_now:.1f}s in network "
-                            f"{networks[member_index].name!r}; step {step:.3g}s "
-                            f"may be unstable"
-                        )
-                    active &= finite
-                # Diverged members stay frozen at their last finite state.
-                state = np.where(active[:, None], advanced, state)
-            for member_index in range(n_members):
-                if active[member_index]:
-                    buffers[member_index].record(
-                        sample_index, state[member_index], target
-                    )
-            if progress_cb is not None:
-                progress_cb(sample_index, n_outputs, float(target))
+        if not finished():
+            for stop in range(1, n_outputs):
+                sample_time = times[stop]
+                while time_now < sample_time - 1e-9:
+                    dt = min(step, sample_time - time_now)
+                    k1 = batch.rhs(state, time_now)
+                    k2 = batch.rhs(state + 0.5 * dt * k1, time_now + 0.5 * dt)
+                    k3 = batch.rhs(state + 0.5 * dt * k2, time_now + 0.5 * dt)
+                    k4 = batch.rhs(state + dt * k3, time_now + dt)
+                    advanced = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    time_now += dt
+                    steps_taken += 1
+                    finite = np.all(np.isfinite(advanced), axis=1)
+                    newly_diverged = active & ~finite
+                    if np.any(newly_diverged):
+                        for member_index in np.flatnonzero(newly_diverged):
+                            failures[int(member_index)] = (
+                                f"non-finite state at t={time_now:.1f}s in network "
+                                f"{networks[member_index].name!r}; step {step:.3g}s "
+                                f"may be unstable"
+                            )
+                        active &= finite
+                    # Diverged members stay frozen at their last finite state.
+                    state = np.where(active[:, None], advanced, state)
+                record(stop)
+                if progress_cb is not None:
+                    progress_cb(stop, n_outputs, float(sample_time))
+                if finished():
+                    break
 
         if obs.enabled:
             obs.count("solver.runs")
@@ -1124,18 +1216,20 @@ def simulate_transient_batch(
             obs.count("solver.rk4_steps", steps_taken)
             obs.count("solver.rhs_evals", 4 * steps_taken * n_members)
             obs.record("solver.step_s", step)
+            _count_until_stop(obs, stop, n_outputs)
 
         if commit_final_state:
-            for member_index, member in enumerate(members):
-                if not active[member_index]:
-                    continue
-                for i, name in enumerate(member.pcm_names):
-                    networks[member_index].pcm_node(name).sample.enthalpy_j = float(
-                        state[member_index, n_cap + i]
-                    )
+            for member_index in np.flatnonzero(active):
+                _commit_pcm_state(
+                    networks[member_index], members[member_index], state[member_index]
+                )
 
-        results: list[TransientResult | None] = [
-            buffers[member_index].result(times) if active[member_index] else None
-            for member_index in range(n_members)
-        ]
+        results: list[TransientResult | None] = []
+        for member, alive in zip(members, active):
+            member_rows = rows.pop(0)
+            results.append(
+                member.expand(member_rows[: stop + 1], times[: stop + 1])
+                if alive
+                else None
+            )
         return BatchTransientResult(results=results, failures=failures)

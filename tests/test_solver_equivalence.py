@@ -290,3 +290,89 @@ class TestSteadyBatchEquivalence:
             serial = solve_steady_state(network_at(fraction))
             for node, temp in serial.temperatures_c.items():
                 assert member.temperatures_c[node] == temp, (fraction, node)
+
+
+def per_sample_traces(compiled: _CompiledNetwork, rows, times) -> dict:
+    """The traces a per-sample recorder writes: one state at a time,
+    through the scalar enthalpy map and the material's own melt fraction."""
+    network = compiled.network
+    traces: dict[str, list[float]] = {}
+    for state, time_s in zip(rows, times):
+        temps = compiled.temperatures(state)
+        named = {
+            name: float(temps[index]) for name, index in compiled.state_index.items()
+        }
+        for name in network.boundary_names:
+            named[name] = float(network.boundary_node(name).temperature_c(time_s))
+        sample = dict(named)
+        if network.air_path is not None:
+            air, sample["flow"] = network.air_temperatures(dict(named), time_s)
+            sample.update({f"air:{name}": value for name, value in air.items()})
+        for i, name in enumerate(compiled.pcm_names):
+            pcm = network.pcm_node(name).sample
+            enthalpy = state[compiled.n_cap + i]
+            sample[f"H:{name}"] = enthalpy
+            sample[f"melt:{name}"] = pcm.material.melt_fraction_at_enthalpy(
+                enthalpy / pcm.mass_kg
+            )
+        sample["power"] = network.total_power_w(time_s)
+        for key, value in sample.items():
+            traces.setdefault(key, []).append(value)
+    return {key: np.array(values, dtype=float) for key, values in traces.items()}
+
+
+def expanded_traces(compiled: _CompiledNetwork, rows, times) -> dict:
+    result = compiled.expand(rows, times)
+    traces = dict(result.temperatures_c)
+    if compiled.air_path is not None:
+        traces["flow"] = result.flow_m3_s
+        traces.update(
+            {f"air:{name}": t for name, t in result.air_temperatures_c.items()}
+        )
+    traces.update({f"H:{name}": t for name, t in result.pcm_enthalpies_j.items()})
+    traces.update({f"melt:{name}": t for name, t in result.melt_fractions.items()})
+    traces["power"] = result.power_w
+    return traces
+
+
+def assert_expansion_matches_per_sample(network: ThermalNetwork, rows, times):
+    compiled = _CompiledNetwork(network)
+    reference = per_sample_traces(compiled, rows, times)
+    expanded = expanded_traces(compiled, rows, times)
+    assert sorted(expanded) == sorted(reference)
+    for key, trace in reference.items():
+        assert np.array_equal(expanded[key], trace), key
+
+
+class TestTraceExpansion:
+    """The vectorized trace expansion writes the per-sample recorder's bytes."""
+
+    @given(params=network_params, seed=st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_random_states_match_per_sample(self, params, seed):
+        network = network_from(params)
+        rng = np.random.default_rng(seed)
+        times = np.arange(12) * 97.0
+        rows = np.tile(network.initial_state(), (len(times), 1))
+        rows[:, : len(params["capacities"])] += rng.uniform(-5.0, 30.0, (12, 1))
+        if params["pcm_mass_kg"]:
+            # Solid, mushy and liquid enthalpies, and both phase edges.
+            fusion = network.pcm_node("wax").sample.material.heat_of_fusion_j_per_kg
+            specific = rng.uniform(-0.2, 1.2, len(times)) * fusion
+            specific[:2] = (0.0, fusion)
+            rows[:, -1] = specific * params["pcm_mass_kg"]
+        assert_expansion_matches_per_sample(network, rows, times)
+
+    def test_chassis_schedules_match_per_sample(self, one_u_spec):
+        from repro.server.chassis import step_utilization
+
+        network = one_u_spec.chassis.build_network(
+            step_utilization(0.1, 0.9, 1800.0, 5400.0), with_wax=True
+        )
+        result = simulate_transient(network, 7000.0, output_interval_s=300.0)
+        compiled = _CompiledNetwork(network)
+        rows = np.column_stack(
+            [result.temperatures_c[name] for name in compiled.cap_names]
+            + [result.pcm_enthalpies_j[name] for name in compiled.pcm_names]
+        )
+        assert_expansion_matches_per_sample(network, rows, result.times_s)
